@@ -27,7 +27,7 @@ bench:
 bench-short:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Regenerate BENCH_runs.json (backend x algo x mode wall-clock matrix over
+# Regenerate BENCH_runs.json (backend x workers x mode wall-clock matrix over
 # the full pattern catalog plus DARPA, binary and grey).
 bench-json:
 	$(GO) run ./cmd/benchjson
@@ -56,12 +56,9 @@ fuzz-short:
 # Chaos suite under the race detector: injected panics, delays and
 # barrier no-shows, cooperative cancellation, the barrier watchdog, and
 # the goroutine leak checks — across the simulator and host-parallel
-# backends (used by the CI chaos job). The second pass re-runs the
-# host-parallel matrix with the Shiloach-Vishkin border merge forced, so
-# both merge backends face the same fault schedule.
+# backends (used by the CI chaos job).
 chaos-short:
 	$(GO) test -race -timeout 5m -run 'Chaos|Injected|Watchdog|RunContext|LabelContext|HistogramContext|Abort|Timeout|Checkpoint|Resume|Corrupt|Mismatch|Deadline|Saturation|Shutdown' . ./internal/bdm/ ./internal/par/ ./internal/hist/ ./internal/cc/ ./internal/cli/ ./internal/fault/... ./internal/serve/ ./internal/stream/
-	$(GO) test -race -timeout 5m -run 'Chaos|Injected|Scrub|LabelContext|HistogramContext' ./internal/par/ -merge=sv
 
 # End-to-end smoke test of the labeling service: build and start imgccd,
 # wait for /healthz, POST the DARPA benchmark scene, diff the census

@@ -9,32 +9,31 @@
 package parimg
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 )
 
 // BenchmarkParallelCC measures host-parallel labeling throughput on the
-// dual-spiral pattern (the catalog's hardest) across strip algorithms,
-// sizes and worker counts; the workers=1 rows are the sequential anchor
-// for speedup, and the bfs-vs-runs pairs are the in-tree form of the
-// BENCH_runs.json matrix.
+// dual-spiral pattern (the catalog's hardest) across sizes and worker
+// counts; the workers=1 rows are the sequential anchor for speedup.
 func BenchmarkParallelCC(b *testing.B) {
-	for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-		for _, n := range []int{512, 1024} {
-			im := GeneratePattern(DualSpiral, n)
-			for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-				b.Run(fmt.Sprintf("algo=%v/n=%d/workers=%d", algo, n, w), func(b *testing.B) {
-					e := NewParallelEngine(w)
-					e.SetAlgo(algo)
-					out := NewLabels(n)
-					b.SetBytes(int64(n * n)) // MB/s column == MPix/s
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						e.LabelInto(im, Conn8, Binary, out)
+	ctx := context.Background()
+	for _, n := range []int{512, 1024} {
+		im := GeneratePattern(DualSpiral, n)
+		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
+				e := NewParallelEngine(w)
+				out := NewLabels(n)
+				b.SetBytes(int64(n * n)) // MB/s column == MPix/s
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := e.LabelIntoContext(ctx, im, Conn8, Binary, out); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -60,8 +59,8 @@ func BenchmarkParallelHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkSequentialCC is the LabelSequential anchor for the speedup
-// reported in BENCH_parallel.json.
+// BenchmarkSequentialCC is the LabelSequential anchor for the speedup of
+// BenchmarkParallelCC.
 func BenchmarkSequentialCC(b *testing.B) {
 	for _, n := range []int{512, 1024} {
 		im := GeneratePattern(DualSpiral, n)

@@ -157,7 +157,7 @@ func TestChaosMatrixParallel(t *testing.T) {
 		eng := NewParallelEngine(4)
 		eng.SetFaultInjector(fault.New(1, fault.Panic, 1).At("strip_label").OnRank(1))
 		out := NewLabels(im.N)
-		_, err := eng.LabelIntoErr(im, Conn8, Binary, out)
+		_, err := eng.LabelIntoContext(context.Background(), im, Conn8, Binary, out)
 		if !errors.Is(err, ErrAborted) {
 			t.Fatalf("err = %v, want ErrAborted", err)
 		}
@@ -174,7 +174,7 @@ func TestChaosMatrixParallel(t *testing.T) {
 			WithDelay(2 * time.Millisecond)
 		eng.SetFaultInjector(in)
 		out := NewLabels(im.N)
-		if _, err := eng.LabelIntoErr(im, Conn8, Binary, out); err != nil {
+		if _, err := eng.LabelIntoContext(context.Background(), im, Conn8, Binary, out); err != nil {
 			t.Fatalf("delay fault must not fail the run: %v", err)
 		}
 		if in.Injections() == 0 {

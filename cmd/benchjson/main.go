@@ -1,43 +1,32 @@
 // Command benchjson measures the wall-clock labeling throughput of every
-// backend x algorithm x merge x mode combination — the sequential BFS
-// baseline and the host-parallel engine running either per-pixel BFS
-// ("bfs") or the run-based two-pass engine ("runs"), at one worker and at
-// a multi-worker count, with the border merge resolved by the union-find
-// tree ("tree") and by the Shiloach-Vishkin rounds ("sv"), in binary and
-// in grey connectivity — and writes the matrix as JSON (default
-// BENCH_runs.json) for tracking across commits.
+// backend x workers x mode combination — the sequential BFS baseline and
+// the host-parallel run engine at one worker and at a multi-worker count,
+// in binary and in grey connectivity — and writes the matrix as JSON
+// (default BENCH_runs.json) for tracking across commits.
 //
 // The multi-worker count is GOMAXPROCS when that is more than one, and an
-// oversubscribed 4 otherwise: the merge axis only exists with at least two
-// strips, so a 1-CPU container still measures tree vs sv (concurrency
-// effects are then simulated by the scheduler, but the per-phase algorithmic
-// costs — edge extraction, find chains vs hook rounds — are real). One-
-// worker rows have no boundary and are recorded as merge "tree", matching
-// the keys of baselines written before the merge axis existed. -merge
-// restricts the multi-worker sweep to one backend; the default "auto"
-// sweeps both.
+// oversubscribed 4 otherwise: strip seams only exist with at least two
+// strips, so a 1-CPU container still measures the border merge
+// (concurrency effects are then simulated by the scheduler, but the
+// per-phase algorithmic costs are real).
 //
-// Unlike the first-generation harness, which benchmarked only the
-// dual-spiral pattern, every run covers all nine Figure 1 catalog patterns
-// plus the synthetic DARPA scene, so the report reflects worst-case inputs
-// (single-pixel-wide features, dense small components) as well as
-// spiral-friendly ones; each input is labeled in both modes, so the DARPA
-// scene — the paper's flagship grey workload — exercises the grey run
-// extractor over the byte plane, not just binary foreground runs. Each
-// measurement labels its image repeatedly for at least -mintime and keeps
-// the fastest iteration, the usual go-bench floor of scheduling noise.
-// Every configuration's output is verified pixel-for-pixel against the
-// sequential reference, and the summary records the geometric-mean
-// single-worker speedup of runs over bfs on the 1024^2 catalog patterns,
-// per mode. GOMAXPROCS and NumCPU are recorded so a reader can tell a
-// 1-core container from a real multicore host.
+// Every run covers all nine Figure 1 catalog patterns plus the synthetic
+// DARPA scene, so the report reflects worst-case inputs (single-pixel-wide
+// features, dense small components) as well as spiral-friendly ones; each
+// input is labeled in both modes, so the DARPA scene — the paper's
+// flagship grey workload — exercises the grey run extractor over the byte
+// plane, not just binary foreground runs. Each measurement labels its
+// image repeatedly for at least -mintime and keeps the fastest iteration,
+// the usual go-bench floor of scheduling noise. Every configuration's
+// output is verified pixel-for-pixel against the sequential reference.
+// GOMAXPROCS and NumCPU are recorded so a reader can tell a 1-core
+// container from a real multicore host.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"time"
@@ -54,7 +43,6 @@ func run() error {
 	var (
 		out         = flag.String("o", "BENCH_runs.json", "output file")
 		workers     = cli.WorkersFlag(flag.CommandLine)
-		mergeName   = cli.MergeFlag(flag.CommandLine)
 		minTime     = flag.Duration("mintime", 200*time.Millisecond, "minimum measuring time per configuration")
 		metricsPath = cli.MetricsFlag(flag.CommandLine)
 		timeout     = cli.TimeoutFlag(flag.CommandLine)
@@ -65,23 +53,15 @@ func run() error {
 	defer cancel()
 	start := time.Now()
 
-	mergeSel, err := parimg.ParseMerge(*mergeName)
-	if err != nil {
-		return err
-	}
 	maxW := cli.Workers(*workers)
 	multiW := maxW
 	if multiW < 2 {
 		multiW = 4
 	}
 	workerCounts := []int{1, multiW}
-	merges := []parimg.Merge{parimg.MergeTree, parimg.MergeSV}
-	if mergeSel != parimg.MergeAuto {
-		merges = []parimg.Merge{mergeSel}
-	}
 
 	rep := benchfmt.Report{
-		Benchmark:  "label backend x algo x merge x mode matrix, nine catalog patterns + DARPA, binary and grey",
+		Benchmark:  "label backend x workers x mode matrix, nine catalog patterns + DARPA, binary and grey",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Conn:       parimg.Conn8.String(),
@@ -101,16 +81,6 @@ func run() error {
 	}
 	inputs = append(inputs, input{"darpa", parimg.DARPAImage()})
 
-	// logSpeedupSum/logSpeedupN accumulate, per mode, the workers=1
-	// log-speedups of the 1024^2 catalog patterns for the geometric-mean
-	// summaries.
-	logSpeedupSum := map[parimg.Mode]float64{}
-	logSpeedupN := map[parimg.Mode]int{}
-	// logSVSum/logSVN accumulate the multi-worker tree/sv end-to-end
-	// log-speedups of the runs engine on the 1024^2 catalog patterns.
-	logSVSum := map[parimg.Mode]float64{}
-	logSVN := map[parimg.Mode]int{}
-
 	// With -metrics, every host-parallel configuration gets one extra
 	// instrumented labeling (outside the timed loop) and the per-phase
 	// documents are written as one JSON array.
@@ -129,7 +99,7 @@ func run() error {
 			pix := float64(n * n)
 			want := parimg.LabelSequential(in.im, parimg.Conn8, mode)
 
-			record := func(backend, algo, merge string, w int, ns int64, got *parimg.Labels, comps int) {
+			record := func(backend string, w int, ns int64, got *parimg.Labels, comps int) {
 				agree := true
 				for i := range want.Lab {
 					if want.Lab[i] != got.Lab[i] {
@@ -138,107 +108,55 @@ func run() error {
 					}
 				}
 				rep.Rows = append(rep.Rows, benchfmt.Row{
-					Pattern: in.name, N: n, Backend: backend, Algo: algo,
-					Mode: mode.String(), Merge: merge, Workers: w,
+					Pattern: in.name, N: n, Backend: backend,
+					Mode: mode.String(), Workers: w,
 					NS: ns, MPixPerS: pix / (float64(ns) / 1e9) / 1e6,
 					Components: comps, LabelsAgreed: agree,
 				})
-				fmt.Printf("%-18s n=%-5d %-6s %-3s %-4s %-4s w=%-2d  %10v  %8.1f MPix/s  identical=%v\n",
-					in.name, n, mode, backend, algo, merge, w, time.Duration(ns), pix/(float64(ns)/1e9)/1e6, agree)
+				fmt.Printf("%-18s n=%-5d %-6s %-3s w=%-2d  %10v  %8.1f MPix/s  identical=%v\n",
+					in.name, n, mode, backend, w, time.Duration(ns), pix/(float64(ns)/1e9)/1e6, agree)
 			}
 
 			// Sequential baseline (backend seq, the paper's Section 5.1 BFS).
-			seqOut := parimg.NewLabels(n)
-			var seqNS int64
 			{
 				var l *parimg.Labels
-				seqNS = best(*minTime, func() { l = parimg.LabelSequential(in.im, parimg.Conn8, mode) })
-				copy(seqOut.Lab, l.Lab)
-				record("seq", "bfs", "", 1, seqNS, seqOut, seqOut.Components())
+				ns := best(*minTime, func() { l = parimg.LabelSequential(in.im, parimg.Conn8, mode) })
+				record("seq", 1, ns, l, l.Components())
 			}
 
-			// Host-parallel backend: algo x workers x merge. One worker has
-			// no strip boundary, so its single cell is recorded as "tree"
-			// (the old baselines' implicit value); the merge axis proper is
-			// measured at the multi-worker count.
-			var bfs1, runs1 int64
-			mergeNS := map[parimg.Merge]int64{}
-			for _, algoName := range []string{"bfs", "runs"} {
-				algo, err := parimg.ParseAlgo(algoName)
-				if err != nil {
-					return err
-				}
-				for _, w := range workerCounts {
-					wMerges := merges
-					if w == 1 {
-						wMerges = []parimg.Merge{parimg.MergeTree}
+			// Host-parallel run engine at each worker count.
+			for _, w := range workerCounts {
+				eng := parimg.NewParallelEngine(w)
+				got := parimg.NewLabels(n)
+				var comps int
+				var runErr error
+				ns := best(*minTime, func() {
+					if runErr != nil {
+						return
 					}
-					for _, merge := range wMerges {
-						eng := parimg.NewParallelEngine(w)
-						eng.SetAlgo(algo)
-						eng.SetMerge(merge)
-						got := parimg.NewLabels(n)
-						var comps int
-						var runErr error
-						ns := best(*minTime, func() {
-							if runErr != nil {
-								return
-							}
-							comps, runErr = eng.LabelIntoContext(ctx, in.im, parimg.Conn8, mode, got)
-						})
-						if runErr != nil {
-							return runErr
-						}
-						record("par", algoName, merge.String(), w, ns, got, comps)
-						if *metricsPath != "" {
-							rec.Reset()
-							eng.SetObserver(rec)
-							t0 := time.Now()
-							eng.LabelInto(in.im, parimg.Conn8, mode, got)
-							instrNS := time.Since(t0).Nanoseconds()
-							eng.SetObserver(nil)
-							m := rec.Snapshot()
-							m.Command, m.Backend, m.Algo = "benchjson", "par", algoName
-							m.Merge = merge.String()
-							m.Workers, m.Image, m.N = w, in.name, n
-							m.TotalNS = instrNS
-							metricsDocs = append(metricsDocs, m)
-						}
-						if w == 1 {
-							if algoName == "bfs" {
-								bfs1 = ns
-							} else {
-								runs1 = ns
-							}
-						}
-						if w == multiW && algoName == "runs" {
-							mergeNS[merge] = ns
-						}
-					}
+					comps, runErr = eng.LabelIntoContext(ctx, in.im, parimg.Conn8, mode, got)
+				})
+				if runErr != nil {
+					return runErr
 				}
-			}
-			if n == 1024 && in.name != "darpa" && bfs1 > 0 && runs1 > 0 {
-				logSpeedupSum[mode] += math.Log(float64(bfs1) / float64(runs1))
-				logSpeedupN[mode]++
-			}
-			if n == 1024 && in.name != "darpa" && mergeNS[parimg.MergeTree] > 0 && mergeNS[parimg.MergeSV] > 0 {
-				logSVSum[mode] += math.Log(float64(mergeNS[parimg.MergeTree]) / float64(mergeNS[parimg.MergeSV]))
-				logSVN[mode]++
+				record("par", w, ns, got, comps)
+				if *metricsPath != "" {
+					rec.Reset()
+					eng.SetObserver(rec)
+					t0 := time.Now()
+					if _, err := eng.LabelIntoContext(ctx, in.im, parimg.Conn8, mode, got); err != nil {
+						return err
+					}
+					instrNS := time.Since(t0).Nanoseconds()
+					eng.SetObserver(nil)
+					m := rec.Snapshot()
+					m.Command, m.Backend = "benchjson", "par"
+					m.Workers, m.Image, m.N = w, in.name, n
+					m.TotalNS = instrNS
+					metricsDocs = append(metricsDocs, m)
+				}
 			}
 		}
-	}
-
-	if n := logSpeedupN[parimg.Binary]; n > 0 {
-		rep.GeomeanRunsOverBFS1W1024 = math.Exp(logSpeedupSum[parimg.Binary] / float64(n))
-	}
-	if n := logSpeedupN[parimg.Grey]; n > 0 {
-		rep.GeomeanGreyRunsOverBFS1W1024 = math.Exp(logSpeedupSum[parimg.Grey] / float64(n))
-	}
-	if n := logSVN[parimg.Binary]; n > 0 {
-		rep.GeomeanSVOverTreeMW1024 = math.Exp(logSVSum[parimg.Binary] / float64(n))
-	}
-	if n := logSVN[parimg.Grey]; n > 0 {
-		rep.GeomeanGreySVOverTreeMW1024 = math.Exp(logSVSum[parimg.Grey] / float64(n))
 	}
 
 	f, err := os.Create(*out)
@@ -260,11 +178,8 @@ func run() error {
 		}
 		fmt.Printf("wrote %s (%d per-configuration metrics documents)\n", *metricsPath, len(metricsDocs))
 	}
-	fmt.Printf("wrote %s (gomaxprocs=%d, numcpu=%d, geomean runs/bfs @1w/1024 = %.2fx binary, %.2fx grey; "+
-		"geomean tree/sv @%dw/1024 runs = %.2fx binary, %.2fx grey)\n",
-		*out, rep.GoMaxProcs, rep.NumCPU,
-		rep.GeomeanRunsOverBFS1W1024, rep.GeomeanGreyRunsOverBFS1W1024,
-		multiW, rep.GeomeanSVOverTreeMW1024, rep.GeomeanGreySVOverTreeMW1024)
+	fmt.Printf("wrote %s (gomaxprocs=%d, numcpu=%d, %d cells)\n",
+		*out, rep.GoMaxProcs, rep.NumCPU, len(rep.Rows))
 	return nil
 }
 

@@ -49,8 +49,6 @@ func run() error {
 		fullRelabel = flag.Bool("full-relabel", false, "relabel whole tiles every merge (disable limited updating)")
 		compare     = flag.Bool("compare", false, "run all three parallel algorithms and compare")
 		backend     = cli.BackendFlag(flag.CommandLine)
-		algoName    = cli.AlgoFlag(flag.CommandLine)
-		mergeName   = cli.MergeFlag(flag.CommandLine)
 		workers     = cli.WorkersFlag(flag.CommandLine)
 		metricsPath = cli.MetricsFlag(flag.CommandLine)
 		timeout     = cli.TimeoutFlag(flag.CommandLine)
@@ -74,15 +72,6 @@ func run() error {
 		})
 	}
 
-	algo, err := parimg.ParseAlgo(*algoName)
-	if err != nil {
-		return err
-	}
-	merge, err := parimg.ParseMerge(*mergeName)
-	if err != nil {
-		return err
-	}
-
 	im, err := loadImage(*patternName, *random, *darpa, *inFile, *n, *seed)
 	if err != nil {
 		return err
@@ -103,8 +92,6 @@ func run() error {
 	case "sim":
 		// fall through to the simulator below
 	case "par", "seq":
-		opt0.Algo = algo
-		opt0.Merge = merge
 		return runHost(*backend, im, opt0, *workers, *top,
 			*metricsPath, cli.ImageName(*patternName, *darpa, *inFile))
 	default:
@@ -169,8 +156,6 @@ func runHost(backend string, im *parimg.Image, opt parimg.LabelOptions,
 	if backend == "par" {
 		workers = cli.Workers(workers)
 		eng := parimg.NewParallelEngine(workers)
-		eng.SetAlgo(opt.Algo)
-		eng.SetMerge(opt.Merge)
 		if metricsPath != "" {
 			eng.SetObserver(rec)
 		}
@@ -180,8 +165,8 @@ func runHost(backend string, im *parimg.Image, opt parimg.LabelOptions,
 		if err != nil {
 			return err
 		}
-		fmt.Printf("host-parallel, workers=%d (GOMAXPROCS=%d), algo=%v, merge=%v, %dx%d image, %v, %v mode\n",
-			workers, runtime.GOMAXPROCS(0), opt.Algo, opt.Merge, im.N, im.N, connOf(opt), opt.Mode)
+		fmt.Printf("host-parallel, workers=%d (GOMAXPROCS=%d), %dx%d image, %v, %v mode\n",
+			workers, runtime.GOMAXPROCS(0), im.N, im.N, connOf(opt), opt.Mode)
 		fmt.Printf("%d connected components, wall time %v\n", labels.Components(), elapsed)
 	} else {
 		start := time.Now()
@@ -197,10 +182,9 @@ func runHost(backend string, im *parimg.Image, opt parimg.LabelOptions,
 	printTop(labels, top)
 	if metricsPath != "" {
 		m := rec.Snapshot()
-		m.Command, m.Backend, m.Algo = "imgcc", backend, opt.Algo.String()
+		m.Command, m.Backend = "imgcc", backend
 		if backend == "par" {
 			m.Workers = workers
-			m.Merge = opt.Merge.String()
 		}
 		m.Image, m.N = imageName, im.N
 		m.TotalNS = elapsed.Nanoseconds()

@@ -6,8 +6,8 @@
 //
 // Endpoints:
 //
-//	POST /label    label the posted PGM (query: mode, conn, algo, merge,
-//	               census=1, labels=1, out=json|pgm, deadline_ms)
+//	POST /label    label the posted PGM (query: mode, conn, census=1,
+//	               labels=1, out=json|pgm, deadline_ms)
 //	GET  /metrics  parimg-metrics/v1 documents: aggregate + recent requests
 //	GET  /healthz  16x16 label round-trip through the full scheduler path
 //

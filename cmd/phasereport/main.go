@@ -17,6 +17,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -65,7 +66,7 @@ func fatal(err error) {
 }
 
 // input is one report row: a catalog pattern (binary) or the DARPA scene
-// (grey-scale components, so the run engine resolves to BFS).
+// (grey-scale components).
 type input struct {
 	name string
 	im   *parimg.Image
@@ -113,30 +114,24 @@ func render(buf *bytes.Buffer, spec parimg.MachineSpec, p, n, W int) {
 	}
 
 	// Measured table: one instrumented host-parallel labeling per image.
-	fmt.Fprintf(buf, "\n**Measured** (host-parallel engine, workers=%d, algo=auto, merge=auto —\n"+
-		"the run-based engine for every row, grey included: binary rows extract\n"+
+	fmt.Fprintf(buf, "\n**Measured** (host-parallel engine, workers=%d — binary rows extract\n"+
 		"foreground runs from the bit plane, the grey DARPA row extracts\n"+
 		"equal-grey-level runs from the byte plane): percent of wall-clock\n"+
-		"time, and the share of it the recorded phases cover. The merge column\n"+
-		"is the backend the boundary-edge-density heuristic picked (sv rounds\n"+
-		"> 0 means the Shiloach-Vishkin rounds resolved the edges); edges is\n"+
-		"the deduplicated boundary union-edge count the extraction collected.\n\n", W)
-	fmt.Fprintf(buf, "| image | algo | merge | strip label | border merge | relabel | cleanup | edges | sv rounds | wall ms | covered |\n")
-	fmt.Fprintf(buf, "|---|---|---|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+		"time, and the share of it the recorded phases cover. Edges is the\n"+
+		"deduplicated boundary union-edge count the border merge's extraction\n"+
+		"collected and resolved with one union-find unite each.\n\n", W)
+	fmt.Fprintf(buf, "| image | strip label | border merge | relabel | cleanup | edges | wall ms | covered |\n")
+	fmt.Fprintf(buf, "|---|---:|---:|---:|---:|---:|---:|---:|\n")
 	for _, in := range ins {
-		m, algo := parMetrics(in, W)
+		m := parMetrics(in, W)
 		total := float64(m.TotalNS)
-		merge := "tree"
-		if m.Counters["sv_rounds"] > 0 {
-			merge = "sv"
-		}
-		fmt.Fprintf(buf, "| %s | %s | %s | %s | %s | %s | %s | %d | %d | %.1f | %s |\n",
-			in.name, algo, merge,
+		fmt.Fprintf(buf, "| %s | %s | %s | %s | %s | %d | %.1f | %s |\n",
+			in.name,
 			pct(float64(m.WallPhaseNS("strip_label")), total),
 			pct(float64(m.WallPhaseNS("border_merge")), total),
 			pct(float64(m.WallPhaseNS("relabel")), total),
 			pct(float64(m.WallPhaseNS("cleanup")), total),
-			m.Counters["border_edges"], m.Counters["sv_rounds"],
+			m.Counters["border_edges"],
 			total/1e6,
 			pct(float64(m.WallPhaseNS()), total))
 	}
@@ -144,7 +139,7 @@ func render(buf *bytes.Buffer, spec parimg.MachineSpec, p, n, W int) {
 		"labeling) and the final update, with the log p merge rounds in between —\n"+
 		"the Section 5 shape. The measured split shows the same structure on real\n"+
 		"goroutines: strip labeling dominates, the border merge is the cheap\n"+
-		"O(n·W) graph pass, and the relabel sweep pays one find per pixel.\n"+
+		"O(runs) seam pass, and the relabel sweep pays one find per run.\n"+
 		"Wall times are container-dependent; the shares are the reproducible part.\n")
 }
 
@@ -166,20 +161,20 @@ func simMetrics(spec parimg.MachineSpec, p int, in input) *parimg.Metrics {
 }
 
 // parMetrics labels one image on the host-parallel engine with a recorder
-// installed and returns the metrics plus the effective algorithm name.
-func parMetrics(in input, W int) (*parimg.Metrics, string) {
+// installed and returns the metrics.
+func parMetrics(in input, W int) *parimg.Metrics {
 	eng := parimg.NewParallelEngine(W)
-	eng.SetAlgo(parimg.AlgoAuto)
-	eng.SetMerge(parimg.MergeAuto)
 	rec := parimg.NewMetricsRecorder()
 	eng.SetObserver(rec)
 	labels := parimg.NewLabels(in.im.N)
 	start := time.Now()
-	eng.LabelInto(in.im, parimg.Conn8, in.mode, labels)
+	if _, err := eng.LabelIntoContext(context.Background(), in.im, parimg.Conn8, in.mode, labels); err != nil {
+		fatal(err)
+	}
 	elapsed := time.Since(start)
 	m := rec.Snapshot()
 	m.TotalNS = elapsed.Nanoseconds()
-	return m, "runs"
+	return m
 }
 
 // pct formats part/total as a percentage, "—" when the phase is absent.

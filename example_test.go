@@ -80,7 +80,6 @@ func ExampleLabelOptions() {
 	rec := parimg.NewMetricsRecorder()
 	labels := parimg.LabelParallel(im, parimg.LabelOptions{
 		Conn:    parimg.Conn8,
-		Algo:    parimg.AlgoRuns,
 		Metrics: rec,
 	})
 	m := rec.Snapshot()

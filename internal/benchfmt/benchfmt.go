@@ -14,10 +14,8 @@ import (
 type Row struct {
 	Pattern      string  `json:"pattern"`
 	N            int     `json:"n"`
-	Backend      string  `json:"backend"`         // "seq" or "par"
-	Algo         string  `json:"algo"`            // "bfs" or "runs"
-	Mode         string  `json:"mode"`            // "binary" or "grey"
-	Merge        string  `json:"merge,omitempty"` // "tree" or "sv" (par backend)
+	Backend      string  `json:"backend"` // "seq" or "par"
+	Mode         string  `json:"mode"`    // "binary" or "grey"
 	Workers      int     `json:"workers"`
 	NS           int64   `json:"ns"`
 	MPixPerS     float64 `json:"mpix_per_s"`
@@ -25,41 +23,20 @@ type Row struct {
 	LabelsAgreed bool    `json:"labels_identical"`
 }
 
-// Key identifies a cell independent of its measurements. Reports written
-// before the grey sweep carry no mode field, and reports written before
-// the merge axis carry no merge field; an empty mode reads as "binary" and
-// an empty merge as "tree" (the only behaviors that existed then), so old
-// baselines still match their cells and a widened matrix only ever adds
-// informational new cells, never spurious regressions.
+// Key identifies a cell independent of its measurements.
 func (r Row) Key() string {
-	mode := r.Mode
-	if mode == "" {
-		mode = "binary"
-	}
-	merge := r.Merge
-	if merge == "" {
-		merge = "tree"
-	}
-	return fmt.Sprintf("%s/%d/%s/%s/%s/%s/w%d", r.Pattern, r.N, mode, r.Backend, r.Algo, merge, r.Workers)
+	return fmt.Sprintf("%s/%d/%s/%s/w%d", r.Pattern, r.N, r.Mode, r.Backend, r.Workers)
 }
 
 // Report is the whole benchjson document.
 type Report struct {
-	Benchmark                    string  `json:"benchmark"`
-	GoMaxProcs                   int     `json:"gomaxprocs"`
-	NumCPU                       int     `json:"numcpu"`
-	Conn                         string  `json:"connectivity"`
-	Modes                        string  `json:"modes"`
-	MinTimeMS                    int64   `json:"mintime_ms"`
-	Rows                         []Row   `json:"rows"`
-	GeomeanRunsOverBFS1W1024     float64 `json:"geomean_runs_over_bfs_1worker_1024"`
-	GeomeanGreyRunsOverBFS1W1024 float64 `json:"geomean_grey_runs_over_bfs_1worker_1024"`
-	// Tree-vs-sv summaries: the geometric-mean end-to-end speedup of the
-	// Shiloach-Vishkin merge over the union-find tree for the runs engine
-	// at the multi-worker count on the 1024^2 catalog patterns, per mode.
-	// Zero in reports written before the merge axis existed.
-	GeomeanSVOverTreeMW1024     float64 `json:"geomean_sv_over_tree_multiworker_1024,omitempty"`
-	GeomeanGreySVOverTreeMW1024 float64 `json:"geomean_grey_sv_over_tree_multiworker_1024,omitempty"`
+	Benchmark  string `json:"benchmark"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"numcpu"`
+	Conn       string `json:"connectivity"`
+	Modes      string `json:"modes"`
+	MinTimeMS  int64  `json:"mintime_ms"`
+	Rows       []Row  `json:"rows"`
 }
 
 // ReadFile loads a benchjson report.

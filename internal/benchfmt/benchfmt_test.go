@@ -7,109 +7,21 @@ import (
 	"testing"
 )
 
-func row(pattern, mode, backend, algo string, w int, ns int64, agreed bool) Row {
-	return Row{Pattern: pattern, N: 64, Backend: backend, Algo: algo,
+func row(pattern, mode, backend string, w int, ns int64, agreed bool) Row {
+	return Row{Pattern: pattern, N: 64, Backend: backend,
 		Mode: mode, Workers: w, NS: ns, LabelsAgreed: agreed}
-}
-
-func TestKeyDefaultsEmptyModeToBinary(t *testing.T) {
-	a := row("cross", "", "par", "runs", 1, 100, true)
-	b := row("cross", "binary", "par", "runs", 1, 200, true)
-	if a.Key() != b.Key() {
-		t.Fatalf("pre-grey key %q != %q", a.Key(), b.Key())
-	}
-	c := row("cross", "grey", "par", "runs", 1, 200, true)
-	if a.Key() == c.Key() {
-		t.Fatalf("grey key collides with binary: %q", c.Key())
-	}
-}
-
-// mergeRow is row with an explicit merge column.
-func mergeRow(pattern, mode, backend, algo, merge string, w int, ns int64) Row {
-	r := row(pattern, mode, backend, algo, w, ns, true)
-	r.Merge = merge
-	return r
-}
-
-// TestKeyDefaultsEmptyMergeToTree pins the merge-axis back-compat rule: a
-// pre-merge row keys identically to an explicit "tree" row, and "sv" gets
-// its own cell.
-func TestKeyDefaultsEmptyMergeToTree(t *testing.T) {
-	old := row("cross", "binary", "par", "runs", 4, 100, true)
-	tree := mergeRow("cross", "binary", "par", "runs", "tree", 4, 200)
-	if old.Key() != tree.Key() {
-		t.Fatalf("pre-merge key %q != tree key %q", old.Key(), tree.Key())
-	}
-	sv := mergeRow("cross", "binary", "par", "runs", "sv", 4, 200)
-	if sv.Key() == tree.Key() {
-		t.Fatalf("sv key collides with tree: %q", sv.Key())
-	}
-}
-
-// TestDiffToleratesWidenedMergeMatrix is the baseline-compat contract of the
-// merge axis end to end: diffing a new report that carries both merge
-// backends against an old pre-merge baseline must match the tree cells
-// against the old cells (so regressions still surface) and report the sv
-// cells as informational new coverage — never as lost baseline cells.
-func TestDiffToleratesWidenedMergeMatrix(t *testing.T) {
-	base := &Report{Rows: []Row{
-		row("cross", "binary", "par", "runs", 4, 1000, true), // pre-merge: no merge field
-		row("spiral", "binary", "par", "runs", 4, 1000, true),
-	}}
-	cur := &Report{Rows: []Row{
-		mergeRow("cross", "binary", "par", "runs", "tree", 4, 1050),
-		mergeRow("cross", "binary", "par", "runs", "sv", 4, 700),
-		mergeRow("spiral", "binary", "par", "runs", "tree", 4, 3000), // real regression
-		mergeRow("spiral", "binary", "par", "runs", "sv", 4, 800),
-	}}
-	deltas, onlyBase, onlyNew := Diff(base, cur, 0.25)
-	if len(onlyBase) != 0 {
-		t.Fatalf("widened matrix lost baseline cells: %v", onlyBase)
-	}
-	if len(onlyNew) != 2 {
-		t.Fatalf("onlyNew = %v, want the two sv cells", onlyNew)
-	}
-	for _, k := range onlyNew {
-		if want := "sv"; !containsSegment(k, want) {
-			t.Fatalf("unexpected new cell %q", k)
-		}
-	}
-	if len(deltas) != 2 {
-		t.Fatalf("deltas = %+v, want the two tree cells", deltas)
-	}
-	if !deltas[0].Regress || deltas[0].Ratio != 3.0 {
-		t.Fatalf("worst delta = %+v, want the 3.0x tree regression", deltas[0])
-	}
-	if deltas[1].Regress {
-		t.Fatalf("within-tolerance tree cell flagged: %+v", deltas[1])
-	}
-}
-
-// containsSegment reports whether key contains seg as one "/"-separated
-// component (plain substring would confuse "sv" with e.g. a pattern name).
-func containsSegment(key, seg string) bool {
-	start := 0
-	for i := 0; i <= len(key); i++ {
-		if i == len(key) || key[i] == '/' {
-			if key[start:i] == seg {
-				return true
-			}
-			start = i + 1
-		}
-	}
-	return false
 }
 
 func TestDiffFlagsRegressionsWithinTolerance(t *testing.T) {
 	base := &Report{Rows: []Row{
-		row("cross", "binary", "par", "runs", 1, 1000, true),
-		row("cross", "grey", "par", "runs", 1, 1000, true),
-		row("gone", "binary", "seq", "bfs", 1, 500, true),
+		row("cross", "binary", "par", 1, 1000, true),
+		row("cross", "grey", "par", 1, 1000, true),
+		row("gone", "binary", "seq", 1, 500, true),
 	}}
 	cur := &Report{Rows: []Row{
-		row("cross", "binary", "par", "runs", 1, 1200, true), // +20%: inside 25%
-		row("cross", "grey", "par", "runs", 1, 2000, true),   // +100%: regression
-		row("fresh", "grey", "par", "bfs", 4, 300, true),
+		row("cross", "binary", "par", 1, 1200, true), // +20%: inside 25%
+		row("cross", "grey", "par", 1, 2000, true),   // +100%: regression
+		row("fresh", "grey", "par", 4, 300, true),
 	}}
 	deltas, onlyBase, onlyNew := Diff(base, cur, 0.25)
 	if len(deltas) != 2 {
@@ -132,8 +44,8 @@ func TestDiffFlagsRegressionsWithinTolerance(t *testing.T) {
 
 func TestDisagreements(t *testing.T) {
 	rep := &Report{Rows: []Row{
-		row("a", "binary", "par", "runs", 1, 10, true),
-		row("b", "grey", "par", "runs", 2, 10, false),
+		row("a", "binary", "par", 1, 10, true),
+		row("b", "grey", "par", 2, 10, false),
 	}}
 	bad := Disagreements(rep)
 	if len(bad) != 1 || bad[0] != rep.Rows[1].Key() {
@@ -143,7 +55,7 @@ func TestDisagreements(t *testing.T) {
 
 func TestReadFileRoundTripsAndReadsLegacy(t *testing.T) {
 	dir := t.TempDir()
-	rep := &Report{Benchmark: "m", Rows: []Row{row("x", "grey", "par", "runs", 2, 42, true)}}
+	rep := &Report{Benchmark: "m", Rows: []Row{row("x", "grey", "par", 2, 42, true)}}
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -160,10 +72,10 @@ func TestReadFileRoundTripsAndReadsLegacy(t *testing.T) {
 		t.Fatalf("round trip: %+v", got)
 	}
 
-	// A pre-grey document (no mode fields) still loads, and its rows key
-	// as binary.
-	legacy := []byte(`{"benchmark":"old","rows":[{"pattern":"cross","n":64,` +
-		`"backend":"par","algo":"runs","workers":1,"ns":7,"labels_identical":true}]}`)
+	// A document written while the matrix still had algo and merge columns
+	// loads; the retired fields are ignored.
+	legacy := []byte(`{"benchmark":"old","rows":[{"pattern":"cross","n":64,"backend":"par",` +
+		`"algo":"runs","mode":"binary","merge":"sv","workers":2,"ns":7,"labels_identical":true}]}`)
 	lp := filepath.Join(dir, "legacy.json")
 	if err := os.WriteFile(lp, legacy, 0o644); err != nil {
 		t.Fatal(err)
@@ -172,8 +84,8 @@ func TestReadFileRoundTripsAndReadsLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.Rows[0].Key() != row("cross", "binary", "par", "runs", 1, 0, true).Key() {
-		t.Fatalf("legacy key = %q", old.Rows[0].Key())
+	if old.Rows[0].Key() != row("cross", "binary", "par", 2, 0, true).Key() || old.Rows[0].NS != 7 {
+		t.Fatalf("legacy row = %+v", old.Rows[0])
 	}
 
 	if _, err := ReadFile(filepath.Join(dir, "missing.json")); err == nil {

@@ -136,7 +136,7 @@ func (st *sharedState) procMain(pr *bdm.Proc) {
 	}
 	_, queue := seq.TileLabeler(pix, q, r, st.opt.Conn, st.opt.Mode,
 		func(i, j int) uint32 { return st.lay.InitialLabel(rank, i, j) },
-		lab, loc.queue, nil)
+		lab, loc.queue)
 	loc.queue = queue
 	pr.Work(opsPerPixelBFS * q * r)
 

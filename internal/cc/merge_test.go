@@ -60,7 +60,7 @@ func TestSolveMergeTwoTiles(t *testing.T) {
 		pix := st.tilePix.Local(pr)
 		lab := st.tileLab.Local(pr)
 		seq.TileLabeler(pix, lay.Q, lay.R, opt.Conn, opt.Mode,
-			func(i, j int) uint32 { return lay.InitialLabel(rank, i, j) }, lab, nil, nil)
+			func(i, j int) uint32 { return lay.InitialLabel(rank, i, j) }, lab, nil)
 		// Publish color and label edges.
 		copy(st.pixN.Local(pr), pix[:lay.R])
 		copy(st.pixS.Local(pr), pix[(lay.Q-1)*lay.R:])

@@ -120,7 +120,7 @@ func (st *propState) procMain(pr *bdm.Proc) {
 			func(i, j int) uint32 {
 				compLabels = append(compLabels, lay.InitialLabel(rank, i, j))
 				return uint32(len(compLabels)) // 1-based component id
-			}, lab, nil, nil)
+			}, lab, nil)
 		for i := range comp {
 			if lab[i] == 0 {
 				comp[i] = -1

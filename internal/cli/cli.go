@@ -82,10 +82,6 @@ const (
 	WorkersUsage = "worker goroutines for the host-parallel engine (<= 0 selects GOMAXPROCS)"
 	// BackendUsage is the help text of the -backend flag.
 	BackendUsage = "execution backend: sim (BDM simulator), par (host-parallel), seq (sequential)"
-	// AlgoUsage is the help text of the -algo flag.
-	AlgoUsage = "strip labeling algorithm for -backend par: auto (runs for binary and grey), bfs or runs"
-	// MergeUsage is the help text of the -merge flag.
-	MergeUsage = "border-merge backend for -backend par: auto (pick by boundary-edge density), tree (concurrent union-find) or sv (Shiloach-Vishkin rounds)"
 	// MetricsUsage is the help text of the -metrics flag.
 	MetricsUsage = "write a " + obs.Schema + " JSON metrics document (phase times, counters, comm volume) to this file"
 	// PatternUsage is the help text of the -pattern flag.
@@ -145,16 +141,6 @@ func WorkersFlag(fs *flag.FlagSet) *int {
 // BackendFlag registers the canonical -backend flag (default "sim").
 func BackendFlag(fs *flag.FlagSet) *string {
 	return fs.String("backend", "sim", BackendUsage)
-}
-
-// AlgoFlag registers the canonical -algo flag (default "auto").
-func AlgoFlag(fs *flag.FlagSet) *string {
-	return fs.String("algo", "auto", AlgoUsage)
-}
-
-// MergeFlag registers the canonical -merge flag (default "auto").
-func MergeFlag(fs *flag.FlagSet) *string {
-	return fs.String("merge", "auto", MergeUsage)
 }
 
 // MetricsFlag registers the canonical -metrics flag (default "", disabled).

@@ -49,7 +49,6 @@ func TestFlagConstructorsRegisterCanonicalNames(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	WorkersFlag(fs)
 	BackendFlag(fs)
-	AlgoFlag(fs)
 	MetricsFlag(fs)
 	PatternFlag(fs)
 	RandomFlag(fs)
@@ -60,7 +59,7 @@ func TestFlagConstructorsRegisterCanonicalNames(t *testing.T) {
 	MachineFlag(fs)
 	SeedFlag(fs)
 	for _, name := range []string{
-		"workers", "backend", "algo", "metrics", "pattern", "random",
+		"workers", "backend", "metrics", "pattern", "random",
 		"darpa", "in", "n", "p", "machine", "seed",
 	} {
 		if fs.Lookup(name) == nil {
@@ -69,9 +68,6 @@ func TestFlagConstructorsRegisterCanonicalNames(t *testing.T) {
 	}
 	if f := fs.Lookup("backend"); f != nil && f.DefValue != "sim" {
 		t.Errorf("-backend default = %q, want sim", f.DefValue)
-	}
-	if f := fs.Lookup("algo"); f != nil && f.DefValue != "auto" {
-		t.Errorf("-algo default = %q, want auto", f.DefValue)
 	}
 }
 

@@ -66,10 +66,6 @@ func TestRunCommandFailureModes(t *testing.T) {
 			_, err := parimg.ReadPGM(strings.NewReader("P5\n4 4\n255\nab"))
 			return err
 		}, errs.ErrBadInput},
-		{"bad -algo", func() error {
-			_, err := parimg.ParseAlgo("zig")
-			return err
-		}, nil},
 		{"bad -p", func() error {
 			_, err := parimg.NewSimulator(3, parimg.CM5)
 			return err

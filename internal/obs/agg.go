@@ -9,14 +9,15 @@ import "sync"
 // name: top-level wall phases are summed into one phase per name (kept in
 // first-observed order, so the aggregate reads in pipeline order), counters
 // are summed by key, and TotalNS accumulates end-to-end run time. Two
-// synthetic counters are added: "runs" (documents observed) and
-// "aborted_runs" (documents whose Aborted field was set).
+// synthetic counters are added: "documents" (documents observed) and
+// "aborted_documents" (documents whose Aborted field was set). Their names
+// stay clear of the summed engine counters, such as "runs".
 //
 // An Agg is safe for concurrent use; Observe is designed to sit on a
 // server's per-request completion path.
 type Agg struct {
 	mu       sync.Mutex
-	runs     int64
+	docs     int64
 	aborted  int64
 	totalNS  int64
 	order    []string // first-observed top-level phase names
@@ -30,7 +31,7 @@ func NewAgg() *Agg {
 }
 
 // Observe folds one document into the aggregate: top-level wall phases and
-// counters are summed by name, TotalNS accumulates, and the runs/aborted
+// counters are summed by name, TotalNS accumulates, and the document
 // tallies advance. Child phases (Parent set) are skipped — their parents
 // already cover their time. A nil document is ignored.
 func (a *Agg) Observe(m *Metrics) {
@@ -39,7 +40,7 @@ func (a *Agg) Observe(m *Metrics) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.runs++
+	a.docs++
 	if m.Aborted != "" {
 		a.aborted++
 	}
@@ -62,16 +63,17 @@ func (a *Agg) Observe(m *Metrics) {
 func (a *Agg) Count() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.runs
+	return a.docs
 }
 
 // Snapshot returns the aggregate as a fresh, Valid Metrics document:
 // summed top-level phases in first-observed order, summed counters plus
-// the synthetic "runs" and "aborted_runs", and the accumulated TotalNS.
+// the synthetic "documents" and "aborted_documents", and the accumulated
+// TotalNS.
 // Context fields (Command, Image, ...) are left for the caller to fill;
 // the caller also owns the returned document and may extend its Counters
 // map. Snapshotting an empty aggregate yields a valid document with
-// runs=0.
+// documents=0.
 func (a *Agg) Snapshot() *Metrics {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -87,7 +89,7 @@ func (a *Agg) Snapshot() *Metrics {
 	for name, v := range a.counters {
 		m.Counters[name] = v
 	}
-	m.Counters["runs"] = a.runs
-	m.Counters["aborted_runs"] = a.aborted
+	m.Counters["documents"] = a.docs
+	m.Counters["aborted_documents"] = a.aborted
 	return m
 }

@@ -7,7 +7,8 @@ import (
 
 // TestAggObserve checks the by-name summation contract: top-level phases
 // merge in first-observed order, child phases are skipped, counters sum,
-// and the synthetic runs/aborted_runs counters track documents.
+// and the synthetic documents/aborted_documents counters track documents
+// without clobbering a summed engine counter of the same family ("runs").
 func TestAggObserve(t *testing.T) {
 	a := NewAgg()
 	a.Observe(&Metrics{
@@ -17,7 +18,7 @@ func TestAggObserve(t *testing.T) {
 			{Name: "label", WallNS: 80},
 			{Name: "strip_label", Parent: "label", WallNS: 70}, // child: skipped
 		},
-		Counters: map[string]int64{"runs_extracted": 5},
+		Counters: map[string]int64{"runs": 5},
 	})
 	a.Observe(&Metrics{
 		Schema: Schema, TotalNS: 50, Aborted: "deadline",
@@ -25,7 +26,7 @@ func TestAggObserve(t *testing.T) {
 			{Name: "label", WallNS: 30}, // merges into the existing entry
 			{Name: "census", WallNS: 5}, // new name appends
 		},
-		Counters: map[string]int64{"runs_extracted": 2, "components": 7},
+		Counters: map[string]int64{"runs": 5, "components": 7},
 	})
 	a.Observe(nil) // ignored
 
@@ -49,7 +50,7 @@ func TestAggObserve(t *testing.T) {
 		}
 	}
 	for key, want := range map[string]int64{
-		"runs_extracted": 7, "components": 7, "runs": 2, "aborted_runs": 1,
+		"runs": 10, "components": 7, "documents": 2, "aborted_documents": 1,
 	} {
 		if m.Counters[key] != want {
 			t.Fatalf("counter %q = %d, want %d", key, m.Counters[key], want)
@@ -66,8 +67,8 @@ func TestAggSnapshotIsolated(t *testing.T) {
 	if err := empty.Validate(); err != nil {
 		t.Fatalf("empty aggregate invalid: %v", err)
 	}
-	if empty.Counters["runs"] != 0 {
-		t.Fatalf("empty aggregate runs = %d, want 0", empty.Counters["runs"])
+	if empty.Counters["documents"] != 0 {
+		t.Fatalf("empty aggregate documents = %d, want 0", empty.Counters["documents"])
 	}
 	empty.Counters["queue_depth"] = 42 // caller extends its copy...
 	if m := a.Snapshot(); m.Counters["queue_depth"] != 0 {
@@ -96,7 +97,7 @@ func TestAggConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	m := a.Snapshot()
-	if m.Counters["runs"] != G*per || m.Counters["c"] != G*per || m.TotalNS != G*per {
+	if m.Counters["documents"] != G*per || m.Counters["c"] != G*per || m.TotalNS != G*per {
 		t.Fatalf("lost updates: %+v", m.Counters)
 	}
 }

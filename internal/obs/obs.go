@@ -56,19 +56,15 @@ const (
 	// before the border merge (the sum of per-strip component counts).
 	CtrStripComponents Counter = iota
 	// CtrBorderPairs counts raw adjacencies examined across strip
-	// boundaries during the border merge's edge extraction: like-colored
-	// pixel pairs on the per-pixel path, adjacent run pairs on the
-	// run-aware path.
+	// boundaries during the border merge's edge extraction: adjacent run
+	// pairs in the resident engine, like-colored pixel pairs in the
+	// streaming band merge.
 	CtrBorderPairs
 	// CtrBorderEdges counts deduplicated boundary union edges the border
 	// merge's extraction pass collected (the length of the edge list the
-	// resolution backend actually processes); CtrBorderPairs minus
+	// union-find actually resolves); CtrBorderPairs minus
 	// CtrBorderEdges is the work the dedup saved.
 	CtrBorderEdges
-	// CtrSVRounds counts the hook-and-compress rounds the Shiloach-Vishkin
-	// merge backend ran until convergence; 0 when the tree backend
-	// resolved the boundary edges instead.
-	CtrSVRounds
 	// CtrBorderLinks counts border unions that actually linked two
 	// distinct sets (strip components minus links = final components).
 	CtrBorderLinks
@@ -107,8 +103,6 @@ func (c Counter) String() string {
 		return "border_pairs"
 	case CtrBorderEdges:
 		return "border_edges"
-	case CtrSVRounds:
-		return "sv_rounds"
 	case CtrBorderLinks:
 		return "border_links"
 	case CtrUFFinds:
@@ -177,12 +171,6 @@ type Metrics struct {
 	Command string `json:"command,omitempty"`
 	// Backend is the execution backend ("sim", "par", "seq" or "stream").
 	Backend string `json:"backend,omitempty"`
-	// Algo is the host-parallel strip algorithm ("auto", "bfs", "runs").
-	Algo string `json:"algo,omitempty"`
-	// Merge is the host-parallel border-merge backend ("auto", "tree",
-	// "sv"), as configured; with "auto" the sv_rounds counter tells which
-	// backend the density heuristic actually picked.
-	Merge string `json:"merge,omitempty"`
 	// Machine is the simulated machine profile name (sim backend only).
 	Machine string `json:"machine,omitempty"`
 	// Workers is the host-parallel worker count (par backend only).

@@ -146,7 +146,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	t0 := r.StartPhase()
 	r.EndPhase("border_merge", "", t0)
 	m := r.Snapshot()
-	m.Command, m.Backend, m.Algo = "imgcc", "par", "runs"
+	m.Command, m.Backend = "imgcc", "par"
 	m.Workers, m.Image, m.N = 4, "cross", 64
 	m.TotalNS = 12345
 
@@ -178,7 +178,7 @@ func TestCounterNamesAreStable(t *testing.T) {
 	names := CounterNames()
 	want := []string{"bands", "border_edges", "border_links", "border_pairs",
 		"checkpoints", "grey_runs", "relabeled_pixels", "resume_band", "runs",
-		"strip_components", "sv_rounds", "uf_finds"}
+		"strip_components", "uf_finds"}
 	if len(names) != len(want) {
 		t.Fatalf("counter names = %v", names)
 	}

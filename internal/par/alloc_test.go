@@ -8,72 +8,76 @@ import (
 	"parimg/internal/seq"
 )
 
-// Allocation budgets for steady-state Engine.LabelInto calls after one
-// warm-up. A single-worker engine reuses every piece of scratch and must
-// stay allocation-free; multi-worker engines pay only the per-phase
+// Allocation budgets for steady-state Engine.LabelIntoContext calls after
+// one warm-up. A single-worker engine reuses every piece of scratch and
+// must stay allocation-free; multi-worker engines pay only the per-phase
 // goroutine closures of parallelDo (a handful of small allocations per
 // phase), so the budget is a small multiple of the worker count.
 const (
 	allocBudget1W = 0
 	allocBudgetNW = 16 // per worker: 4 phases x closure + waitgroup slack
-	svAllocRounds = 4  // extra parallelDo fan-outs the SV resolve loop may add
 )
 
 // TestLabelIntoAllocs pins the steady-state allocation cost of repeated
-// labelings for both strip algorithms, mirroring the PR-1 simulator alloc
-// work so the run engine cannot silently regress it.
+// labelings so the run engine cannot silently regress it.
 func TestLabelIntoAllocs(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 128)
 	out := image.NewLabels(128)
-	for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-		for _, w := range []int{1, 4} {
-			for _, merge := range []Merge{MergeTree, MergeSV} {
-				t.Run(fmt.Sprintf("%v/workers=%d/%v", algo, w, merge), func(t *testing.T) {
-					e := NewEngine(w)
-					e.SetAlgo(algo)
-					e.SetMerge(merge)
-					e.LabelInto(im, image.Conn8, seq.Binary, out) // warm scratch
-					budget := float64(allocBudget1W)
-					if w > 1 {
-						budget = float64(allocBudgetNW * w)
-						if merge == MergeSV {
-							// Each Shiloach-Vishkin round is one more
-							// parallelDo fan-out (closure + waitgroup per
-							// worker per round); the spiral converges in a
-							// few rounds, so a fixed multiple covers it.
-							budget *= svAllocRounds
-						}
-					}
-					avg := testing.AllocsPerRun(10, func() {
-						e.LabelInto(im, image.Conn8, seq.Binary, out)
-					})
-					if avg > budget {
-						t.Fatalf("%.1f allocs per LabelInto, budget %.0f", avg, budget)
-					}
-				})
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			e := NewEngine(w)
+			mustLabelInto(t, e, im, image.Conn8, seq.Binary, out) // warm scratch
+			budget := float64(allocBudget1W)
+			if w > 1 {
+				budget = float64(allocBudgetNW * w)
 			}
-		}
+			var err error
+			avg := testing.AllocsPerRun(10, func() {
+				_, err = e.LabelIntoContext(nil, im, image.Conn8, seq.Binary, out)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if avg > budget {
+				t.Fatalf("%.1f allocs per LabelIntoContext, budget %.0f", avg, budget)
+			}
+		})
 	}
 }
 
 // TestGreyLabelIntoAllocs pins the steady-state allocation cost of Grey
-// mode for both strip algorithms: the grey run path (the Algo auto default,
-// byteplane packing plus grey run extraction) and the explicit per-pixel
-// BFS must each stay allocation-free at one worker after warm-up.
+// mode on both grey run extractors: the byte-plane path ("runs": byteplane
+// packing plus grey run extraction) and the full-width fallback ("wide":
+// grey levels above a byte, runs read from the raw uint32 pixels). Each
+// must stay allocation-free at one worker after warm-up.
 func TestGreyLabelIntoAllocs(t *testing.T) {
-	im := image.RandomGrey(128, 8, 3)
+	wide := image.RandomGrey(128, 8, 3)
+	for i := range wide.Pix {
+		if wide.Pix[i] != 0 {
+			wide.Pix[i] += 256
+		}
+	}
+	cases := []struct {
+		name string
+		im   *image.Image
+	}{
+		{"runs", image.RandomGrey(128, 8, 3)},
+		{"wide", wide},
+	}
 	out := image.NewLabels(128)
-	for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-		t.Run(algo.String(), func(t *testing.T) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			e := NewEngine(1)
-			e.SetAlgo(algo)
-			e.LabelInto(im, image.Conn8, seq.Grey, out) // warm scratch
+			mustLabelInto(t, e, c.im, image.Conn8, seq.Grey, out) // warm scratch
+			var err error
 			avg := testing.AllocsPerRun(10, func() {
-				e.LabelInto(im, image.Conn8, seq.Grey, out)
+				_, err = e.LabelIntoContext(nil, c.im, image.Conn8, seq.Grey, out)
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if avg > allocBudget1W {
-				t.Fatalf("%.1f allocs per grey %v LabelInto, budget %d",
-					avg, algo, allocBudget1W)
+				t.Fatalf("%.1f allocs per grey LabelIntoContext, budget %d", avg, allocBudget1W)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package par
 import (
 	"context"
 	"errors"
-	"flag"
 	"strings"
 	"testing"
 	"time"
@@ -15,33 +14,13 @@ import (
 	"parimg/internal/seq"
 )
 
-// chaosMergeFlag lets the chaos matrix re-run with a forced border-merge
-// backend (the CI chaos job does one pass with -merge=sv), so both merge
-// paths face the same injected panics, delays, no-shows and deadlines.
-var chaosMergeFlag = flag.String("merge", "", "force this border-merge backend on chaos-test engines (tree or sv)")
-
-// chaosEngine builds an engine for a chaos test, applying the -merge
-// override when one was given on the test command line.
-func chaosEngine(t *testing.T, workers int) *Engine {
-	t.Helper()
-	e := NewEngine(workers)
-	if *chaosMergeFlag != "" {
-		m, err := ParseMerge(*chaosMergeFlag)
-		if err != nil {
-			t.Fatalf("-merge flag: %v", err)
-		}
-		e.SetMerge(m)
-	}
-	return e
-}
-
 // requireCleanAfterFault re-runs the engine without faults and checks the
 // labeling is pixel-identical to the sequential reference — the "no partial
 // writes survive the error path" half of the chaos contract.
 func requireCleanAfterFault(t *testing.T, e *Engine, im *image.Image) {
 	t.Helper()
 	e.SetFaultInjector(nil)
-	got, err := e.LabelErr(im, image.Conn8, seq.Binary)
+	got, err := e.LabelContext(nil, im, image.Conn8, seq.Binary)
 	if err != nil {
 		t.Fatalf("clean run after fault: %v", err)
 	}
@@ -49,52 +28,36 @@ func requireCleanAfterFault(t *testing.T, e *Engine, im *image.Image) {
 }
 
 // TestInjectedPanicEveryPhase plants a deterministic panic in each
-// instrumented phase of both labeling algorithms and the histogram: every
-// one must come back as a typed ErrAborted wrapping the injected fault, with
-// the engine immediately reusable.
+// instrumented phase of the labeling and the histogram: every one must come
+// back as a typed ErrAborted wrapping the injected fault, with the engine
+// immediately reusable.
 func TestInjectedPanicEveryPhase(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.Generate(image.DualSpiral, 64)
 	grey := image.RandomGrey(64, 16, 1)
+	histogram := func(e *Engine) error {
+		_, err := e.Histogram(grey, 16)
+		return err
+	}
 	cases := []struct {
-		site  string
-		algo  Algo
-		merge Merge
-		run   func(e *Engine) error
+		site string
+		run  func(e *Engine) error
 	}{
-		{"strip_label", AlgoBFS, MergeAuto, nil},
-		{"border_merge", AlgoBFS, MergeAuto, nil},
-		{"relabel", AlgoBFS, MergeAuto, nil},
-		{"strip_label", AlgoRuns, MergeAuto, nil},
-		{"border_merge", AlgoRuns, MergeAuto, nil},
-		{"relabel", AlgoRuns, MergeAuto, nil},
-		// The extraction site fires for both merge backends; sv_round only
-		// exists inside the Shiloach-Vishkin resolve loop.
-		{"border_merge", AlgoRuns, MergeSV, nil},
-		{"sv_round", AlgoBFS, MergeSV, nil},
-		{"sv_round", AlgoRuns, MergeSV, nil},
-		{"tally", AlgoAuto, MergeAuto, func(e *Engine) error {
-			_, err := e.Histogram(grey, 16)
-			return err
-		}},
-		{"tree_merge", AlgoAuto, MergeAuto, func(e *Engine) error {
-			_, err := e.Histogram(grey, 16)
-			return err
-		}},
+		{"strip_label", nil},
+		{"border_merge", nil},
+		{"relabel", nil},
+		{"tally", histogram},
+		{"tree_merge", histogram},
 	}
 	for _, c := range cases {
-		t.Run(c.site+"/"+c.algo.String()+"/"+c.merge.String(), func(t *testing.T) {
-			e := chaosEngine(t, 4)
-			e.SetAlgo(c.algo)
-			if c.merge != MergeAuto {
-				e.SetMerge(c.merge)
-			}
+		t.Run(c.site, func(t *testing.T) {
+			e := NewEngine(4)
 			e.SetFaultInjector(fault.New(1, fault.Panic, 1).At(c.site).OnRank(1))
 			var err error
 			if c.run != nil {
 				err = c.run(e)
 			} else {
-				_, err = e.LabelErr(im, image.Conn8, seq.Binary)
+				_, err = e.LabelContext(nil, im, image.Conn8, seq.Binary)
 			}
 			if !errors.Is(err, errs.ErrAborted) {
 				t.Fatalf("site %s: err = %v, want ErrAborted", c.site, err)
@@ -115,7 +78,7 @@ func TestLabelContextPreCanceled(t *testing.T) {
 	leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := chaosEngine(t, 4)
+	e := NewEngine(4)
 	im := image.Generate(image.Cross, 64)
 	if _, err := e.LabelContext(ctx, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -129,32 +92,29 @@ func TestLabelContextPreCanceled(t *testing.T) {
 func TestLabelContextDeadlineMidRun(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.Generate(image.DualSpiral, 128)
-	for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-		e := chaosEngine(t, 4)
-		e.SetAlgo(algo)
-		e.SetFaultInjector(fault.New(1, fault.Delay, 1).
-			At("strip_label").OnRank(0).WithDelay(50 * time.Millisecond))
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		_, err := e.LabelContext(ctx, im, image.Conn8, seq.Binary)
-		cancel()
-		if !errors.Is(err, errs.ErrDeadline) {
-			t.Fatalf("%v: err = %v, want ErrDeadline", algo, err)
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%v: err = %v, want to match context.DeadlineExceeded", algo, err)
-		}
-		var re *errs.RunError
-		if !errors.As(err, &re) || re.After <= 0 {
-			t.Fatalf("%v: err %v lacks a positive After duration", algo, err)
-		}
-		requireCleanAfterFault(t, e, im)
+	e := NewEngine(4)
+	e.SetFaultInjector(fault.New(1, fault.Delay, 1).
+		At("strip_label").OnRank(0).WithDelay(50 * time.Millisecond))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	_, err := e.LabelContext(ctx, im, image.Conn8, seq.Binary)
+	cancel()
+	if !errors.Is(err, errs.ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want to match context.DeadlineExceeded", err)
+	}
+	var re *errs.RunError
+	if !errors.As(err, &re) || re.After <= 0 {
+		t.Fatalf("err %v lacks a positive After duration", err)
+	}
+	requireCleanAfterFault(t, e, im)
 }
 
 func TestHistogramContextDeadlineMidRun(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.RandomGrey(128, 16, 2)
-	e := chaosEngine(t, 4)
+	e := NewEngine(4)
 	e.SetFaultInjector(fault.New(1, fault.Delay, 1).
 		At("tally").OnRank(0).WithDelay(50 * time.Millisecond))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
@@ -184,7 +144,7 @@ func TestHistogramContextDeadlineMidRun(t *testing.T) {
 func TestInjectedNoShowReleasedByContext(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.Generate(image.FourSquares, 128)
-	e := chaosEngine(t, 4)
+	e := NewEngine(4)
 	e.SetFaultInjector(fault.New(1, fault.NoShow, 1).At("strip_label").OnRank(2))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -205,9 +165,9 @@ func TestInjectedNoShowReleasedByContext(t *testing.T) {
 func TestInjectedNoShowWithoutContextDegradesToPanic(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.Generate(image.Cross, 64)
-	e := chaosEngine(t, 4)
+	e := NewEngine(4)
 	e.SetFaultInjector(fault.New(1, fault.NoShow, 1).At("strip_label").OnRank(1))
-	_, err := e.LabelErr(im, image.Conn8, seq.Binary)
+	_, err := e.LabelContext(nil, im, image.Conn8, seq.Binary)
 	if !errors.Is(err, errs.ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
 	}
@@ -225,20 +185,17 @@ func TestInjectedNoShowWithoutContextDegradesToPanic(t *testing.T) {
 func TestScrubRestoresUnionFind(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.Generate(image.ConcentricCircles, 128)
-	for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-		e := chaosEngine(t, 4)
-		e.SetAlgo(algo)
-		e.SetFaultInjector(fault.New(1, fault.Panic, 1).At("relabel").OnRank(1))
-		if _, err := e.LabelErr(im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrAborted) {
-			t.Fatalf("%v: err = %v, want ErrAborted", algo, err)
-		}
-		for i, v := range e.uf.parent {
-			if v != 0 {
-				t.Fatalf("%v: uf.parent[%d] = %d after scrub, want 0", algo, i, v)
-			}
-		}
-		requireCleanAfterFault(t, e, im)
+	e := NewEngine(4)
+	e.SetFaultInjector(fault.New(1, fault.Panic, 1).At("relabel").OnRank(1))
+	if _, err := e.LabelContext(nil, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrAborted) {
+		t.Fatalf("err = %v, want ErrAborted", err)
 	}
+	for i, v := range e.uf.parent {
+		if v != 0 {
+			t.Fatalf("uf.parent[%d] = %d after scrub, want 0", i, v)
+		}
+	}
+	requireCleanAfterFault(t, e, im)
 }
 
 // TestProbabilisticChaosSweep runs a randomized (but seeded, hence
@@ -250,9 +207,9 @@ func TestProbabilisticChaosSweep(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 96)
 	want := seq.LabelBFS(im, image.Conn8, seq.Binary)
 	for seed := uint64(1); seed <= 20; seed++ {
-		e := chaosEngine(t, 3)
+		e := NewEngine(3)
 		e.SetFaultInjector(fault.New(seed, fault.Panic, 0.3))
-		got, err := e.LabelErr(im, image.Conn8, seq.Binary)
+		got, err := e.LabelContext(nil, im, image.Conn8, seq.Binary)
 		if err != nil {
 			if !errors.Is(err, errs.ErrAborted) {
 				t.Fatalf("seed %d: untyped error %v", seed, err)

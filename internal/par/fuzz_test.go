@@ -9,8 +9,7 @@ import (
 
 // FuzzRunLabelMatchesBFS asserts the run engine's labeling is byte-
 // identical to seq.LabelBFS on arbitrary images in both modes, across
-// Conn4/Conn8, worker counts 1-8 and both border-merge backends (the
-// union-find tree and the Shiloach-Vishkin rounds run on every input). The image side, connectivity, worker
+// Conn4/Conn8 and worker counts 1-8. The image side, connectivity, worker
 // count and mode are fuzzed alongside the pixel data. In binary mode the
 // data is consumed one bit per pixel so the fuzzer controls the exact run
 // structure (word-boundary runs, alternating columns, solid blocks); in
@@ -60,16 +59,11 @@ func FuzzRunLabelMatchesBFS(f *testing.F) {
 			}
 		}
 		want := seq.LabelBFS(im, conn, mode)
-		for _, merge := range []Merge{MergeTree, MergeSV} {
-			e := NewEngine(w)
-			e.SetAlgo(AlgoRuns)
-			e.SetMerge(merge)
-			got := e.Label(im, conn, mode)
-			for i := range want.Lab {
-				if got.Lab[i] != want.Lab[i] {
-					t.Fatalf("n=%d conn=%v workers=%d grey=%v merge=%v: pixel %d: got %d, want %d",
-						n, conn, w, grey, merge, i, got.Lab[i], want.Lab[i])
-				}
+		got := mustLabel(t, NewEngine(w), im, conn, mode)
+		for i := range want.Lab {
+			if got.Lab[i] != want.Lab[i] {
+				t.Fatalf("n=%d conn=%v workers=%d grey=%v: pixel %d: got %d, want %d",
+					n, conn, w, grey, i, got.Lab[i], want.Lab[i])
 			}
 		}
 	})
@@ -105,16 +99,11 @@ func FuzzGreyRunLabelMatchesBFS(f *testing.F) {
 			}
 		}
 		want := seq.LabelBFS(im, conn, seq.Grey)
-		for _, merge := range []Merge{MergeTree, MergeSV} {
-			e := NewEngine(w)
-			e.SetAlgo(AlgoRuns)
-			e.SetMerge(merge)
-			got := e.Label(im, conn, seq.Grey)
-			for i := range want.Lab {
-				if got.Lab[i] != want.Lab[i] {
-					t.Fatalf("n=%d conn=%v workers=%d merge=%v: pixel %d: got %d, want %d",
-						n, conn, w, merge, i, got.Lab[i], want.Lab[i])
-				}
+		got := mustLabel(t, NewEngine(w), im, conn, seq.Grey)
+		for i := range want.Lab {
+			if got.Lab[i] != want.Lab[i] {
+				t.Fatalf("n=%d conn=%v workers=%d: pixel %d: got %d, want %d",
+					n, conn, w, i, got.Lab[i], want.Lab[i])
 			}
 		}
 	})

@@ -28,32 +28,14 @@ func checkLabelInput(op string, im *image.Image, conn image.Connectivity, mode s
 	return nil
 }
 
-// Label labels im's connected components with the engine's workers and
-// returns a fresh labeling, pixel-for-pixel identical to seq.LabelBFS.
-// Invalid inputs panic; hostile inputs go through LabelErr.
-func (e *Engine) Label(im *image.Image, conn image.Connectivity, mode seq.Mode) *image.Labels {
-	out, err := e.LabelErr(im, conn, mode)
-	if err != nil {
-		// Invariant panic: trusted callers validate first; hostile inputs
-		// go through LabelErr. Silently wrapping seed labels on oversized
-		// images would corrupt the labeling, so fail loudly instead.
-		panic(err.Error())
-	}
-	return out
-}
-
-// LabelErr is Label with typed input validation: a malformed image (nil,
-// side outside (0, MaxSide], wrong buffer length), an unknown connectivity
-// or an unknown mode returns an error from the errs taxonomy instead of
-// panicking or silently wrapping 32-bit seed labels.
-func (e *Engine) LabelErr(im *image.Image, conn image.Connectivity, mode seq.Mode) (*image.Labels, error) {
-	return e.LabelContext(nil, im, conn, mode)
-}
-
-// LabelContext is LabelErr with cooperative cancellation: when ctx is
-// canceled or its deadline expires, the workers stop at their next
-// checkpoint (between phases, per merge round, and every few thousand
-// pixels inside the strip loops) and the call returns an error wrapping
+// LabelContext labels im's connected components with the engine's workers
+// and returns a fresh labeling, pixel-for-pixel identical to seq.LabelBFS.
+// A malformed image (nil, side outside (0, MaxSide], wrong buffer length),
+// an unknown connectivity or an unknown mode returns an error from the errs
+// taxonomy instead of panicking or silently wrapping 32-bit seed labels.
+// When ctx is canceled or its deadline expires, the workers stop at their
+// next checkpoint (between phases, inside the seam resolution, and every
+// few rows inside the strip loops) and the call returns an error wrapping
 // errs.ErrCanceled or errs.ErrDeadline; no labeling is returned. A nil ctx
 // disables cancellation at no cost.
 func (e *Engine) LabelContext(ctx context.Context, im *image.Image,
@@ -68,29 +50,11 @@ func (e *Engine) LabelContext(ctx context.Context, im *image.Image,
 	return out, nil
 }
 
-// LabelInto labels im into out (cleared first) and returns the number of
-// components. out must have side im.N. Invalid inputs panic; hostile inputs
-// go through LabelIntoErr.
-func (e *Engine) LabelInto(im *image.Image, conn image.Connectivity, mode seq.Mode, out *image.Labels) int {
-	comps, err := e.LabelIntoErr(im, conn, mode, out)
-	if err != nil {
-		// Invariant panic: trusted callers validate first; hostile inputs
-		// go through LabelIntoErr.
-		panic(err.Error())
-	}
-	return comps
-}
-
-// LabelIntoErr is LabelInto with typed input validation: it additionally
-// checks that out is structurally valid and matches im's side.
-func (e *Engine) LabelIntoErr(im *image.Image, conn image.Connectivity, mode seq.Mode,
-	out *image.Labels) (int, error) {
-	return e.LabelIntoContext(nil, im, conn, mode, out)
-}
-
-// LabelIntoContext is LabelIntoErr with cooperative cancellation; see
-// LabelContext for the error contract. On a run error the contents of out
-// are undefined (partially labeled) — callers must discard them.
+// LabelIntoContext labels im into out (cleared first) and returns the
+// number of components; it additionally checks that out is structurally
+// valid and matches im's side. See LabelContext for the error contract. On
+// a run error the contents of out are undefined (partially labeled) —
+// callers must discard them.
 func (e *Engine) LabelIntoContext(ctx context.Context, im *image.Image,
 	conn image.Connectivity, mode seq.Mode, out *image.Labels) (int, error) {
 	if err := checkLabelInput("par.LabelInto", im, conn, mode); err != nil {
@@ -106,16 +70,11 @@ func (e *Engine) LabelIntoContext(ctx context.Context, im *image.Image,
 	return e.labelInto(ctx, "par.LabelInto", im, conn, mode, out, true)
 }
 
-// labelInto dispatches to the strip algorithm the engine's Algo resolves
-// to: the run-based engine for both binary and grey images (unless BFS is
-// forced). Both produce the exact labeling of seq.LabelBFS; only the
-// strip-internal work differs. The border merge (Phase 2), final update
-// (Phase 3) and union-find cleanup (Phase 4) are shared.
-//
-// It owns the call's cancellation lifecycle: begin/end bracket the phases,
-// and a run error (worker panic, context expiry, injected fault) comes back
-// as a typed RunError after the scratch has been scrubbed back to its
-// ready state, so the engine is immediately reusable.
+// labelInto owns the call's cancellation lifecycle around the run engine:
+// begin/end bracket the phases, and a run error (worker panic, context
+// expiry, injected fault) comes back as a typed RunError after the scratch
+// has been scrubbed back to its ready state, so the engine is immediately
+// reusable.
 func (e *Engine) labelInto(ctx context.Context, op string, im *image.Image,
 	conn image.Connectivity, mode seq.Mode, out *image.Labels, clear bool) (int, error) {
 	if err := e.begin(op, ctx); err != nil {
@@ -123,22 +82,10 @@ func (e *Engine) labelInto(ctx context.Context, op string, im *image.Image,
 	}
 	defer e.end()
 	flag := e.stopFlag()
-	for i := range e.labelers {
-		e.labelers[i].Stop = flag
-	}
 	for i := range e.runners {
 		e.runners[i].Stop = flag
 	}
-	var comps int
-	// haveRuns tells the border merge whether Phase 1 is about to leave
-	// usable boundary run tables in e.runners (the run engine fills them;
-	// the BFS path leaves stale ones from an earlier call, if any).
-	e.haveRuns = e.algo.effective() == AlgoRuns
-	if e.haveRuns {
-		comps = e.runLabelInto(im, conn, mode, out, clear)
-	} else {
-		comps = e.bfsLabelInto(im, conn, mode, out, clear)
-	}
+	comps := e.runLabelInto(im, conn, mode, out, clear)
 	if err := e.runError(); err != nil {
 		e.scrub()
 		return 0, err
@@ -157,149 +104,42 @@ func (e *Engine) scrub() {
 	}
 }
 
-func (e *Engine) bfsLabelInto(im *image.Image, conn image.Connectivity, mode seq.Mode,
-	out *image.Labels, clear bool) int {
-	n := im.N
-	W := e.stripCount(n)
-
-	if W == 1 {
-		// Single strip: one sequential labeling is the whole job. The
-		// phase marks are nil-safe no-ops with metrics disabled, keeping
-		// the path allocation-free.
-		t0 := e.obs.StartPhase()
-		if clear {
-			for i := range out.Lab {
-				out.Lab[i] = 0
-			}
-		}
-		comps := e.labelers[0].LabelTile(im.Pix, n, n, conn, mode,
-			func(i, j int) uint32 { return uint32(i*n+j) + 1 }, out.Lab)
-		e.obs.EndPhase("strip_label", "", t0)
-		e.obs.Add(obs.CtrStripComponents, int64(comps))
-		return comps
-	}
-
-	// Phase 1 — strip initialization (Section 5.1 on a W x 1 grid): each
-	// worker labels its horizontal strip in place with the sequential
-	// row-major BFS. Seed labels are the global row-major index + 1, so
-	// labels are globally unique with no coordination, and the strip's
-	// fragment of a component carries the fragment's minimum global index.
-	e.phase("strip_label", func() {
-		e.parallelDo(W, func(w int) {
-			e.checkFault("strip_label", w, 1)
-			r0, r1 := stripBounds(w, W, n)
-			lab := out.Lab[r0*n : r1*n]
-			if clear {
-				for i := range lab {
-					lab[i] = 0
-				}
-			}
-			e.comps[w] = e.labelers[w].LabelTile(im.Pix[r0*n:r1*n], r1-r0, n, conn, mode,
-				func(i, j int) uint32 { return uint32((r0+i)*n+j) + 1 }, lab)
-		})
-	})
-	if e.interrupted() {
-		return 0
-	}
-
-	e.phase("border_merge", func() {
-		e.borderMerge(im, out, conn, mode, W)
-	})
-	if e.interrupted() {
-		return 0
-	}
-
-	// Phase 3 — final update: every pixel's label is replaced by its
-	// set's root, the component's global minimum seed label. Interior
-	// components take the fast path (no parent, one atomic load).
-	e.phase("relabel", func() {
-		e.parallelDo(W, func(w int) {
-			e.checkFault("relabel", w, 1)
-			r0, r1 := stripBounds(w, W, n)
-			lab := out.Lab[r0*n : r1*n]
-			var finds, relab int64
-			for i, l := range lab {
-				if i&8191 == 0 && e.cancelable && e.stop.Load() {
-					return
-				}
-				if l == 0 {
-					continue
-				}
-				finds++
-				if r := e.uf.find(l); r != l {
-					lab[i] = r
-					relab++
-				}
-			}
-			e.finds[w] = finds
-			e.relab[w] = relab
-		})
-	})
-	if e.interrupted() {
-		return 0
-	}
-
-	return e.finish(W)
-}
-
 // borderMerge is Phase 2 — resolving the strip boundaries so that labels
 // from different strips that belong to one component share a root in the
 // concurrent union-find. It runs in two passes: an extraction pass in which
 // worker w reduces the boundary between strips w-1 and w to a deduplicated
-// union-edge list in its private append-only slab (intersecting the strips'
-// boundary run lists when Phase 1 was the run engine, scanning pixels
-// otherwise), and a resolution pass — the tree backend's one-shot unites or
-// the Shiloach-Vishkin backend's hook-and-compress rounds, per the engine's
-// Merge setting (MergeAuto decides from the measured edge density). Strip
-// labels must already be painted into out; cross-border link counts land in
-// e.links, raw adjacency counts in e.pairs.
-func (e *Engine) borderMerge(im *image.Image, out *image.Labels,
-	conn image.Connectivity, mode seq.Mode, W int) {
-	n := im.N
+// union-edge list in its private append-only slab, and a resolution pass in
+// which every worker feeds its slab to the union-find through the shared
+// ResolveBoundary loop, one unite per edge. Boundaries are independent, but
+// a strip's labels can reach two boundaries, so the union-find must be (and
+// is) safe for concurrent unites. Strip labels must already be painted into
+// out; cross-border link counts land in e.links, raw adjacency counts in
+// e.pairs.
+func (e *Engine) borderMerge(out *image.Labels, conn image.Connectivity, mode seq.Mode, W int) {
+	n := out.N
 	e.uf.reset(n*n + 1)
-	e.svRounds = 0
 	e.parallelDo(W, func(w int) {
 		e.checkFault("border_merge", w, 1)
 		e.links[w] = 0
 		e.pairs[w] = 0
 		e.dirty[w] = e.dirty[w][:0]
-		if w == 0 {
-			return
-		}
-		if e.haveRuns {
+		if w > 0 {
 			e.extractRunEdges(out, conn, mode, w, W, n)
-		} else {
-			e.extractPixelEdges(im, out, conn, mode, w, W, n)
 		}
 	})
 	if e.cancelable && e.stop.Load() {
 		return
 	}
-	if e.resolveMerge(n, W) == MergeSV {
-		e.svResolve(W)
-	} else {
-		e.treeResolve(W)
-	}
+	e.parallelDo(W, func(w int) {
+		e.checkFault("border_merge", w, 2)
+		e.links[w] = ResolveBoundary(e.dirty[w], &e.uf, e.stopFlag())
+	})
 }
 
-// extractPixelEdges is the extraction pass of the BFS path (no run tables):
-// scan the boundary pixel by pixel through the shared slab-merge seam,
-// which appends one deduplicated union edge per adjacent like-pixel pair
-// into the worker's private slab.
-func (e *Engine) extractPixelEdges(im *image.Image, out *image.Labels,
-	conn image.Connectivity, mode seq.Mode, w, W, n int) {
-	c, _ := stripBounds(w, W, n)
-	top, bot := (c-1)*n, c*n
-	e.dirty[w], e.pairs[w] = AppendBoundaryEdges(e.dirty[w][:0],
-		im.Pix[top:bot], im.Pix[bot:bot+n],
-		out.Lab[top:bot], out.Lab[bot:bot+n],
-		conn, mode, e.stopFlag())
-}
-
-// extractRunEdges is the extraction pass of the run path: instead of
-// scanning boundary pixels it intersects the last-row run list of strip w-1
-// with the first-row run list of strip w (both already sitting in the
-// strips' RunLabelers) and emits exactly one union edge per adjacent run
+// extractRunEdges is the extraction pass: instead of scanning boundary
+// pixels it intersects the last-row run list of strip w-1 with the
+// first-row run list of strip w (both already sitting in the strips'
+// RunLabelers) and emits exactly one union edge per adjacent run
 // pair — a run's pixels all carry one label, so the pair's single edge is
 // the full dedup. A sparse boundary therefore costs O(runs), not O(side).
 // Adjacency under Conn8 widens each run's column interval by one; two runs
@@ -395,7 +235,6 @@ func (e *Engine) finish(W int) int {
 		e.obs.Add(obs.CtrBorderLinks, links)
 		e.obs.Add(obs.CtrBorderPairs, pairs)
 		e.obs.Add(obs.CtrBorderEdges, edges)
-		e.obs.Add(obs.CtrSVRounds, int64(e.svRounds))
 		e.obs.Add(obs.CtrUFFinds, finds)
 		e.obs.Add(obs.CtrRelabeledPixels, relab)
 	}

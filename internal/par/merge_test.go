@@ -1,84 +1,12 @@
 package par
 
 import (
-	"fmt"
 	"testing"
 
 	"parimg/internal/image"
 	"parimg/internal/obs"
 	"parimg/internal/seq"
 )
-
-// TestParseMerge pins the -merge flag grammar and the String round trip.
-func TestParseMerge(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Merge
-	}{{"auto", MergeAuto}, {"", MergeAuto}, {"tree", MergeTree}, {"sv", MergeSV}}
-	for _, c := range cases {
-		got, err := ParseMerge(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("ParseMerge(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := ParseMerge("bogus"); err == nil {
-		t.Fatal("ParseMerge(bogus) succeeded")
-	}
-	for _, m := range []Merge{MergeAuto, MergeTree, MergeSV} {
-		back, err := ParseMerge(m.String())
-		if err != nil || back != m {
-			t.Fatalf("round trip %v -> %q -> %v, %v", m, m.String(), back, err)
-		}
-	}
-	if Merge(99).String() != "Merge(99)" {
-		t.Fatalf("unknown merge String = %q", Merge(99).String())
-	}
-}
-
-// TestMergeBackendsMatchSequentialCatalog is the pixel-identity pin of the
-// merge axis: every merge backend x strip algorithm x connectivity x mode x
-// worker split must reproduce seq.LabelBFS exactly on the nine Figure 1
-// patterns.
-func TestMergeBackendsMatchSequentialCatalog(t *testing.T) {
-	for _, id := range image.AllPatterns() {
-		im := image.Generate(id, 64)
-		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
-			for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
-				want := seq.LabelBFS(im, conn, mode)
-				for _, w := range []int{2, 3, 7, 64} {
-					for _, merge := range []Merge{MergeTree, MergeSV, MergeAuto} {
-						for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-							e := NewEngine(w)
-							e.SetAlgo(algo)
-							e.SetMerge(merge)
-							got := e.Label(im, conn, mode)
-							requireIdentical(t, got, want, fmt.Sprintf(
-								"%v/%v/%v/w=%d/%v/%v", id, conn, mode, w, merge, algo))
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMergeBackendsDARPA pins the merge axis on the grey benchmark scene in
-// both modes.
-func TestMergeBackendsDARPA(t *testing.T) {
-	im := image.DARPASynthetic()
-	for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
-		want := seq.LabelBFS(im, image.Conn8, mode)
-		for _, merge := range []Merge{MergeTree, MergeSV} {
-			for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-				e := NewEngine(4)
-				e.SetAlgo(algo)
-				e.SetMerge(merge)
-				got := e.Label(im, image.Conn8, mode)
-				requireIdentical(t, got, want, fmt.Sprintf("darpa/%v/%v/%v", mode, merge, algo))
-			}
-		}
-	}
-}
 
 // stripedImage returns an n x n binary image of single-pixel vertical
 // columns — the densest possible strip boundary: every other boundary
@@ -93,82 +21,31 @@ func stripedImage(n int) *image.Image {
 	return im
 }
 
-// TestAutoMergePicksByDensity pins the MergeAuto heuristic through the
-// sv_rounds counter: a boundary with an edge every other pixel resolves
-// with the Shiloach-Vishkin rounds, a two-component blob boundary with the
-// tree.
-func TestAutoMergePicksByDensity(t *testing.T) {
-	svCounter := func(im *image.Image) int64 {
-		e := NewEngine(4)
-		e.SetMerge(MergeAuto)
-		rec := obs.NewRecorder()
-		e.SetObserver(rec)
-		out := image.NewLabels(im.N)
-		e.LabelInto(im, image.Conn8, seq.Binary, out)
-		if rec.Counter(obs.CtrBorderEdges) == 0 {
-			t.Fatal("no boundary edges recorded")
-		}
-		return rec.Counter(obs.CtrSVRounds)
-	}
-	if rounds := svCounter(stripedImage(64)); rounds == 0 {
-		t.Error("dense striped boundary resolved by the tree backend, want sv rounds")
-	}
-	// A filled disc crosses each boundary as one wide overlap: one edge
-	// per boundary after dedup, far below the density threshold.
-	if rounds := svCounter(image.Generate(image.FilledDisc, 64)); rounds != 0 {
-		t.Errorf("sparse disc boundary ran %d sv rounds, want the tree backend", rounds)
-	}
-}
-
-// TestMergeCountersAndCleanup pins the SV backend's accounting and its
-// cleanup contract: forced MergeSV records at least one round and the same
-// component count as the tree, and after the run the union-find is back in
-// its all-zero ready state (the per-worker edge slabs double as the dirty
-// lists, so every hooked or shortcut entry must be covered).
+// TestMergeCountersAndCleanup pins the border merge's accounting and its
+// cleanup contract on the densest boundary: the strip components minus the
+// recorded links are the component count, the extraction's dedup never
+// reports more edges than pairs, and after the run the union-find is back
+// in its all-zero ready state (the per-worker edge slabs double as the
+// dirty lists, so every linked or path-halved entry must be covered).
 func TestMergeCountersAndCleanup(t *testing.T) {
 	im := stripedImage(96)
 	want := seq.LabelBFS(im, image.Conn8, seq.Binary)
-	for _, merge := range []Merge{MergeTree, MergeSV} {
-		e := NewEngine(5)
-		e.SetMerge(merge)
-		rec := obs.NewRecorder()
-		e.SetObserver(rec)
-		out := image.NewLabels(im.N)
-		comps := e.LabelInto(im, image.Conn8, seq.Binary, out)
-		requireIdentical(t, out, want, merge.String())
-		if got := int(rec.Counter(obs.CtrStripComponents) - rec.Counter(obs.CtrBorderLinks)); got != comps {
-			t.Errorf("%v: strip_components - border_links = %d, want %d", merge, got, comps)
-		}
-		rounds := rec.Counter(obs.CtrSVRounds)
-		if merge == MergeSV && rounds == 0 {
-			t.Errorf("forced sv recorded no rounds")
-		}
-		if merge == MergeTree && rounds != 0 {
-			t.Errorf("tree backend recorded %d sv rounds", rounds)
-		}
-		if rec.Counter(obs.CtrBorderEdges) == 0 || rec.Counter(obs.CtrBorderPairs) < rec.Counter(obs.CtrBorderEdges) {
-			t.Errorf("%v: pairs %d, edges %d — want pairs >= edges > 0", merge,
-				rec.Counter(obs.CtrBorderPairs), rec.Counter(obs.CtrBorderEdges))
-		}
-		for i, p := range e.uf.parent {
-			if p != 0 {
-				t.Fatalf("%v: union-find entry %d = %d after the run, want the all-zero ready state", merge, i, p)
-			}
-		}
+	e := NewEngine(5)
+	rec := obs.NewRecorder()
+	e.SetObserver(rec)
+	out := image.NewLabels(im.N)
+	comps := mustLabelInto(t, e, im, image.Conn8, seq.Binary, out)
+	requireIdentical(t, out, want, "striped")
+	if got := int(rec.Counter(obs.CtrStripComponents) - rec.Counter(obs.CtrBorderLinks)); got != comps {
+		t.Errorf("strip_components - border_links = %d, want %d", got, comps)
 	}
-}
-
-// TestEngineReuseAcrossMergeBackends alternates backends on one engine to
-// prove the merge scratch (edge slabs, changed flags, round counts) resets
-// between runs.
-func TestEngineReuseAcrossMergeBackends(t *testing.T) {
-	e := NewEngine(4)
-	for i, merge := range []Merge{MergeSV, MergeTree, MergeSV, MergeAuto, MergeTree} {
-		n := 48 + 16*(i%2)
-		im := image.Generate(image.DualSpiral, n)
-		want := seq.LabelBFS(im, image.Conn8, seq.Binary)
-		e.SetMerge(merge)
-		got := e.Label(im, image.Conn8, seq.Binary)
-		requireIdentical(t, got, want, fmt.Sprintf("reuse %d (%v)", i, merge))
+	if rec.Counter(obs.CtrBorderEdges) == 0 || rec.Counter(obs.CtrBorderPairs) < rec.Counter(obs.CtrBorderEdges) {
+		t.Errorf("pairs %d, edges %d — want pairs >= edges > 0",
+			rec.Counter(obs.CtrBorderPairs), rec.Counter(obs.CtrBorderEdges))
+	}
+	for i, p := range e.uf.parent {
+		if p != 0 {
+			t.Fatalf("union-find entry %d = %d after the run, want the all-zero ready state", i, p)
+		}
 	}
 }

@@ -10,62 +10,59 @@ import (
 )
 
 // TestLabelRecordsPhasesAndCounters verifies the measured side of the
-// observability layer: with a recorder installed, LabelInto reports the
-// wall-clock phases of the strip algorithm and operation counts consistent
+// observability layer: with a recorder installed, LabelIntoContext reports
+// the wall-clock phases of the run engine and operation counts consistent
 // with the labeling it produced.
 func TestLabelRecordsPhasesAndCounters(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 64)
 	out := image.NewLabels(64)
-	for _, algo := range []Algo{AlgoBFS, AlgoRuns} {
-		for _, w := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/workers=%d", algo, w), func(t *testing.T) {
-				e := NewEngine(w)
-				e.SetAlgo(algo)
-				r := obs.NewRecorder()
-				e.SetObserver(r)
-				comps := e.LabelInto(im, image.Conn8, seq.Binary, out)
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			e := NewEngine(w)
+			r := obs.NewRecorder()
+			e.SetObserver(r)
+			comps := mustLabelInto(t, e, im, image.Conn8, seq.Binary, out)
 
-				m := r.Snapshot()
-				if err := m.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				want := []string{"strip_label"}
-				if w > 1 {
-					want = append(want, "border_merge", "relabel", "cleanup")
-				}
-				for _, name := range want {
-					found := false
-					for _, ph := range m.Phases {
-						if ph.Name == name {
-							found = true
-							if ph.WallNS < 0 {
-								t.Errorf("phase %s has negative wall time", name)
-							}
+			m := r.Snapshot()
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"strip_label"}
+			if w > 1 {
+				want = append(want, "border_merge", "relabel", "cleanup")
+			}
+			for _, name := range want {
+				found := false
+				for _, ph := range m.Phases {
+					if ph.Name == name {
+						found = true
+						if ph.WallNS < 0 {
+							t.Errorf("phase %s has negative wall time", name)
 						}
 					}
-					if !found {
-						t.Errorf("phase %s not recorded (got %+v)", name, m.Phases)
-					}
 				}
-				if got := m.Counters["strip_components"]; got < int64(comps) {
-					t.Errorf("strip_components = %d, want >= %d", got, comps)
+				if !found {
+					t.Errorf("phase %s not recorded (got %+v)", name, m.Phases)
 				}
-				if w > 1 {
-					stripComps := m.Counters["strip_components"]
-					links := m.Counters["border_links"]
-					if int(stripComps-links) != comps {
-						t.Errorf("components: strips %d - links %d != %d",
-							stripComps, links, comps)
-					}
-					if m.Counters["uf_finds"] == 0 {
-						t.Error("uf_finds not counted")
-					}
+			}
+			if got := m.Counters["strip_components"]; got < int64(comps) {
+				t.Errorf("strip_components = %d, want >= %d", got, comps)
+			}
+			if w > 1 {
+				stripComps := m.Counters["strip_components"]
+				links := m.Counters["border_links"]
+				if int(stripComps-links) != comps {
+					t.Errorf("components: strips %d - links %d != %d",
+						stripComps, links, comps)
 				}
-				if algo == AlgoRuns && m.Counters["runs"] == 0 {
-					t.Error("runs not counted on the run engine")
+				if m.Counters["uf_finds"] == 0 {
+					t.Error("uf_finds not counted")
 				}
-			})
-		}
+			}
+			if m.Counters["runs"] == 0 {
+				t.Error("runs not counted")
+			}
+		})
 	}
 }
 
@@ -81,7 +78,7 @@ func TestGreyLabelCountsGreyRuns(t *testing.T) {
 			e := NewEngine(w)
 			r := obs.NewRecorder()
 			e.SetObserver(r)
-			e.LabelInto(im, image.Conn8, seq.Grey, out)
+			mustLabelInto(t, e, im, image.Conn8, seq.Grey, out)
 			m := r.Snapshot()
 			if m.Counters["grey_runs"] == 0 {
 				t.Errorf("grey_runs not counted: %+v", m.Counters)
@@ -116,10 +113,10 @@ func TestObserverOffLeavesNoTrace(t *testing.T) {
 	e := NewEngine(2)
 	r := obs.NewRecorder()
 	e.SetObserver(r)
-	e.LabelInto(im, image.Conn8, seq.Binary, out)
+	mustLabelInto(t, e, im, image.Conn8, seq.Binary, out)
 	e.SetObserver(nil)
 	r.Reset()
-	e.LabelInto(im, image.Conn8, seq.Binary, out)
+	mustLabelInto(t, e, im, image.Conn8, seq.Binary, out)
 	m := r.Snapshot()
 	if len(m.Phases) != 0 || len(m.Counters) != 0 {
 		t.Fatalf("observer off still recorded: %+v", m)

@@ -11,24 +11,24 @@
 //
 //   - Labeling: the image is split into one horizontal strip per worker
 //     (contiguous in the row-major pixel array, so strips are labeled in
-//     place with no scatter/gather). Each worker runs the Section 5.1
-//     row-major BFS on its strip with globally unique seed labels (global
-//     row-major index + 1). The strip-boundary merge problem is then
-//     resolved with a concurrent union-find over the border graph — each
-//     worker unites the labels of adjacent like-colored pixels across one
-//     boundary — and a final parallel sweep relabels every pixel to its
-//     set's root. Unite-by-minimum makes the root the component's minimum
-//     seed label, so the result is pixel-for-pixel identical to
-//     seq.LabelBFS, not merely equivalent up to renaming.
+//     place with no scatter/gather). Each worker packs its strip's rows,
+//     scans them into maximal runs and labels the runs with a strip-local
+//     union-find, using globally unique seed labels (global row-major index
+//     of a run's first pixel + 1). Each strip boundary is then reduced to
+//     the union edges of its adjacent run pairs, which the workers feed to
+//     one concurrent union-find, and a final parallel pass relabels every
+//     run to its set's root. Unite-by-minimum makes the root the
+//     component's minimum seed label, so the result is pixel-for-pixel
+//     identical to seq.LabelBFS, not merely equivalent up to renaming.
 //
 //   - Histogramming: per-worker tallies of each strip into sharded k-bucket
 //     arrays, merged pairwise in a tree of log(workers) parallel rounds,
 //     the shared-memory analogue of the paper's Section 4 transpose+combine.
 //
-// An Engine owns all scratch (per-worker BFS queues, the union-find parent
-// array, histogram shards) and reuses it across calls; the package-level
-// Label and Histogram draw engines from a sync.Pool and are safe for
-// concurrent use.
+// An Engine owns all scratch (per-worker run tables, the packed planes,
+// the union-find parent array, histogram shards) and reuses it across
+// calls; the package-level Label and Histogram draw engines from a Pool
+// and are safe for concurrent use.
 package par
 
 import (
@@ -47,91 +47,24 @@ import (
 	"parimg/internal/seq"
 )
 
-// Algo selects the labeling algorithm the engine runs inside each strip.
-type Algo int
-
-const (
-	// AlgoAuto picks the fastest correct algorithm: the run-based engine
-	// for both Binary and Grey mode (grey images are scanned into maximal
-	// equal-grey-level runs that carry their grey value through the
-	// vertical unites).
-	AlgoAuto Algo = iota
-	// AlgoBFS forces the paper's per-pixel row-major BFS (Section 5.1).
-	AlgoBFS
-	// AlgoRuns forces the run-based two-pass engine (packed rows,
-	// word-at-a-time run extraction, union-find over runs, span paints) —
-	// binary foreground runs over the bit plane, equal-grey-level runs
-	// over the byte plane. The output contract is exact equality with
-	// seq.LabelBFS in every case.
-	AlgoRuns
-)
-
-// String returns the algorithm's flag spelling: "auto", "bfs" or "runs".
-func (a Algo) String() string {
-	switch a {
-	case AlgoAuto:
-		return "auto"
-	case AlgoBFS:
-		return "bfs"
-	case AlgoRuns:
-		return "runs"
-	}
-	return fmt.Sprintf("Algo(%d)", int(a))
-}
-
-// ParseAlgo resolves an -algo flag value: "auto" (the run engine, for
-// binary and grey images alike), "bfs" or "runs".
-func ParseAlgo(s string) (Algo, error) {
-	switch s {
-	case "auto", "":
-		return AlgoAuto, nil
-	case "bfs":
-		return AlgoBFS, nil
-	case "runs":
-		return AlgoRuns, nil
-	}
-	return 0, fmt.Errorf("par: unknown algorithm %q (want auto, bfs or runs)", s)
-}
-
-// effective returns the algorithm actually executed: the run engine
-// handles both Binary and Grey mode (grey runs carry their grey level), so
-// Auto resolves to runs everywhere and only an explicit AlgoBFS selects
-// the per-pixel BFS path.
-func (a Algo) effective() Algo {
-	if a == AlgoBFS {
-		return AlgoBFS
-	}
-	return AlgoRuns
-}
-
 // Engine is a reusable host-parallel executor with a fixed worker count and
 // owned scratch. An Engine is not safe for concurrent use; the package
 // functions Label and Histogram pool engines and are.
 type Engine struct {
-	workers  int
-	algo     Algo
-	merge    Merge
-	obs      *obs.Recorder    // metrics recorder; nil disables all accounting
-	labelers []seq.Labeler    // per-worker BFS scratch
-	runners  []seq.RunLabeler // per-worker run-engine scratch
-	bp       image.Bitplane   // shared bit-packed plane (strips filled per worker)
-	bytep    image.Byteplane  // shared byte-packed grey plane (strips filled per worker)
-	uf       cuf              // border-merge union-find (labels -> roots)
-	dirty    [][]uint32       // per-worker boundary edge slabs, doubling as union-find entries to clear
-	comps    []int            // per-worker strip component counts
-	links    []int            // per-worker cross-border merge counts
-	pairs    []int64          // per-worker boundary adjacency counts (pre-dedup)
-	finds    []int64          // per-worker union-find find calls (final update)
-	relab    []int64          // per-worker pixels rewritten in the final update
-	shards   [][]int64        // per-worker histogram tallies
-	errs     []error          // per-worker tally errors
-
-	// Per-call border-merge state: whether Phase 1 left usable boundary run
-	// tables in e.runners, the per-worker changed flags of the SV rounds,
-	// and the SV round count of the last run (0 when the tree backend ran).
-	haveRuns  bool
-	svchanged []bool
-	svRounds  int
+	workers int
+	obs     *obs.Recorder    // metrics recorder; nil disables all accounting
+	runners []seq.RunLabeler // per-worker run-engine scratch
+	bp      image.Bitplane   // shared bit-packed plane (strips filled per worker)
+	bytep   image.Byteplane  // shared byte-packed grey plane (strips filled per worker)
+	uf      cuf              // border-merge union-find (labels -> roots)
+	dirty   [][]uint32       // per-worker boundary edge slabs, doubling as union-find entries to clear
+	comps   []int            // per-worker strip component counts
+	links   []int            // per-worker cross-border merge counts
+	pairs   []int64          // per-worker boundary adjacency counts (pre-dedup)
+	finds   []int64          // per-worker union-find find calls (final update)
+	relab   []int64          // per-worker pixels rewritten in the final update
+	shards  [][]int64        // per-worker histogram tallies
+	errs    []error          // per-worker tally errors
 
 	// Lifecycle state. callMu is held for the duration of every
 	// Label/Histogram call (begin locks it, end releases it), which is what
@@ -156,45 +89,28 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the given number of workers; workers <= 0
-// selects runtime.GOMAXPROCS(0). The engine starts in AlgoAuto.
+// selects runtime.GOMAXPROCS(0).
 func NewEngine(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		workers:   workers,
-		labelers:  make([]seq.Labeler, workers),
-		runners:   make([]seq.RunLabeler, workers),
-		dirty:     make([][]uint32, workers),
-		comps:     make([]int, workers),
-		links:     make([]int, workers),
-		pairs:     make([]int64, workers),
-		finds:     make([]int64, workers),
-		relab:     make([]int64, workers),
-		shards:    make([][]int64, workers),
-		errs:      make([]error, workers),
-		wpanic:    make([]error, workers),
-		svchanged: make([]bool, workers),
+		workers: workers,
+		runners: make([]seq.RunLabeler, workers),
+		dirty:   make([][]uint32, workers),
+		comps:   make([]int, workers),
+		links:   make([]int, workers),
+		pairs:   make([]int64, workers),
+		finds:   make([]int64, workers),
+		relab:   make([]int64, workers),
+		shards:  make([][]int64, workers),
+		errs:    make([]error, workers),
+		wpanic:  make([]error, workers),
 	}
 }
 
 // Workers returns the engine's worker count.
 func (e *Engine) Workers() int { return e.workers }
-
-// SetAlgo selects the strip labeling algorithm for subsequent Label calls.
-func (e *Engine) SetAlgo(a Algo) { e.algo = a }
-
-// Algo returns the engine's configured (not mode-resolved) algorithm.
-func (e *Engine) Algo() Algo { return e.algo }
-
-// SetMerge selects the border-merge backend for subsequent Label calls:
-// the tree of one-shot concurrent unites, the Shiloach-Vishkin rounds, or
-// (the default) a per-run choice by measured boundary-edge density.
-func (e *Engine) SetMerge(m Merge) { e.merge = m }
-
-// Merge returns the engine's configured (not density-resolved) merge
-// backend.
-func (e *Engine) Merge() Merge { return e.merge }
 
 // SetFaultInjector installs (or, with nil, removes) a fault injector that
 // every phase worker consults at its checkpoints. Testing only; must not be
@@ -420,8 +336,8 @@ func (e *Engine) checkFault(site string, w, round int) {
 	}
 }
 
-// stopFlag returns the flag strip labelers should poll for cooperative
-// cancellation: the engine's stop flag for interruptible runs, nil (free)
+// stopFlag returns the flag the strip labelers and the seam resolution poll
+// for cooperative cancellation: the engine's stop flag for interruptible runs, nil (free)
 // otherwise.
 func (e *Engine) stopFlag() *atomic.Bool {
 	if e.cancelable {
@@ -440,7 +356,7 @@ func (e *Engine) stopFlag() *atomic.Bool {
 // after Close returns. A non-interruptible in-flight call (no context, no
 // injector) never polls the flag and simply runs to completion; Close
 // waits for it. While draining, the engine's heavy scratch (planes,
-// union-find, per-worker labelers) is released to the collector.
+// union-find, per-worker run tables) is released to the collector.
 // Idempotent and safe to call concurrently with Label/Histogram; always
 // returns nil.
 func (e *Engine) Close() error {
@@ -455,8 +371,7 @@ func (e *Engine) Close() error {
 	e.bp = image.Bitplane{}
 	e.bytep = image.Byteplane{}
 	e.uf = cuf{}
-	for i := range e.labelers {
-		e.labelers[i] = seq.Labeler{}
+	for i := range e.runners {
 		e.runners[i] = seq.RunLabeler{}
 		e.dirty[i] = nil
 		e.shards[i] = nil
@@ -476,60 +391,20 @@ func (e *Engine) Closed() bool { return e.closed.Load() }
 // guarantees of the package functions intact.
 var defaultPool = NewPool(0)
 
-// Label labels im's connected components on a pooled engine with GOMAXPROCS
-// workers, AlgoAuto dispatch and MergeAuto border resolution. The result is
-// identical to seq.LabelBFS. Safe for concurrent use.
-func Label(im *image.Image, conn image.Connectivity, mode seq.Mode) *image.Labels {
-	return LabelWith(AlgoAuto, MergeAuto, im, conn, mode)
-}
-
-// LabelWith is Label with explicit algorithm and merge-backend choices. The
-// result is identical to seq.LabelBFS for every combination. Safe for
-// concurrent use.
-func LabelWith(algo Algo, merge Merge, im *image.Image, conn image.Connectivity, mode seq.Mode) *image.Labels {
-	e := defaultPool.rent()
-	defer defaultPool.Return(e)
-	e.SetAlgo(algo)
-	e.SetMerge(merge)
-	return e.Label(im, conn, mode)
-}
-
-// LabelWithErr is LabelWith with typed input validation instead of panics:
-// malformed images (including sides beyond image.MaxSide, which would wrap
-// the 32-bit seed labels), unknown connectivities and unknown modes return
-// errors from the errs taxonomy. Safe for concurrent use.
-func LabelWithErr(algo Algo, merge Merge, im *image.Image, conn image.Connectivity, mode seq.Mode) (*image.Labels, error) {
-	e := defaultPool.rent()
-	defer defaultPool.Return(e)
-	e.SetAlgo(algo)
-	e.SetMerge(merge)
-	return e.LabelErr(im, conn, mode)
-}
-
-// LabelObserved is LabelWith with a metrics recorder installed for the
-// duration of the call (the pooled engine's observer is removed before the
-// engine returns to the pool). Safe for concurrent use, but concurrent
-// callers sharing one recorder interleave their phase records.
-func LabelObserved(r *obs.Recorder, algo Algo, merge Merge, im *image.Image,
-	conn image.Connectivity, mode seq.Mode) *image.Labels {
-	e := defaultPool.rent()
-	defer defaultPool.Return(e)
-	e.SetAlgo(algo)
-	e.SetMerge(merge)
-	e.SetObserver(r)
-	return e.Label(im, conn, mode)
-}
-
-// LabelObservedErr is LabelObserved with typed input validation instead of
-// panics; see LabelWithErr for the rejected inputs. Safe for concurrent use.
-func LabelObservedErr(r *obs.Recorder, algo Algo, merge Merge, im *image.Image,
+// Label labels im's connected components on a pooled engine with
+// GOMAXPROCS workers; the result is identical to seq.LabelBFS. Invalid
+// inputs return typed errors (see Engine.LabelContext). A nil ctx disables
+// cancellation and a nil rec disables metrics; a non-nil rec is installed
+// for the duration of the call only, and on an aborted run it holds the
+// phases that completed plus the aborted marker. Safe for concurrent use,
+// but concurrent callers sharing one recorder interleave their phase
+// records.
+func Label(ctx context.Context, rec *obs.Recorder, im *image.Image,
 	conn image.Connectivity, mode seq.Mode) (*image.Labels, error) {
 	e := defaultPool.rent()
 	defer defaultPool.Return(e)
-	e.SetAlgo(algo)
-	e.SetMerge(merge)
-	e.SetObserver(r)
-	return e.LabelErr(im, conn, mode)
+	e.SetObserver(rec)
+	return e.LabelContext(ctx, im, conn, mode)
 }
 
 // Histogram computes im's k-bucket histogram on a pooled engine with
@@ -540,37 +415,8 @@ func Histogram(im *image.Image, k int) ([]int64, error) {
 	return e.Histogram(im, k)
 }
 
-// LabelContext is LabelWithErr with cooperative cancellation: when ctx is
-// canceled or its deadline expires, the workers stop at their next
-// checkpoint and the call returns an error wrapping errs.ErrCanceled or
-// errs.ErrDeadline (no partial labeling is returned). Safe for concurrent
-// use.
-func LabelContext(ctx context.Context, algo Algo, merge Merge, im *image.Image,
-	conn image.Connectivity, mode seq.Mode) (*image.Labels, error) {
-	e := defaultPool.rent()
-	defer defaultPool.Return(e)
-	e.SetAlgo(algo)
-	e.SetMerge(merge)
-	return e.LabelContext(ctx, im, conn, mode)
-}
-
-// LabelObservedContext is LabelContext with a metrics recorder installed for
-// the duration of the call (removed before the pooled engine is returned).
-// On an aborted run the recorder holds the phases that completed plus the
-// aborted marker, so metrics stay valid on failed runs. Safe for concurrent
-// use, with the same recorder-sharing caveat as LabelObserved.
-func LabelObservedContext(ctx context.Context, r *obs.Recorder, algo Algo, merge Merge, im *image.Image,
-	conn image.Connectivity, mode seq.Mode) (*image.Labels, error) {
-	e := defaultPool.rent()
-	defer defaultPool.Return(e)
-	e.SetAlgo(algo)
-	e.SetMerge(merge)
-	e.SetObserver(r)
-	return e.LabelContext(ctx, im, conn, mode)
-}
-
 // HistogramContext is Histogram with cooperative cancellation; see
-// LabelContext for the error contract. Safe for concurrent use.
+// Engine.LabelContext for the error contract. Safe for concurrent use.
 func HistogramContext(ctx context.Context, im *image.Image, k int) ([]int64, error) {
 	e := defaultPool.rent()
 	defer defaultPool.Return(e)

@@ -1,11 +1,13 @@
 package par
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
 	"parimg/internal/image"
+	"parimg/internal/obs"
 	"parimg/internal/seq"
 )
 
@@ -23,9 +25,29 @@ func requireIdentical(t *testing.T, got, want *image.Labels, ctx string) {
 	}
 }
 
+// mustLabel labels im on e without a context, failing the test on error.
+func mustLabel(t *testing.T, e *Engine, im *image.Image, conn image.Connectivity, mode seq.Mode) *image.Labels {
+	t.Helper()
+	got, err := e.LabelContext(nil, im, conn, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// mustLabelInto is mustLabel into out, returning the component count.
+func mustLabelInto(t *testing.T, e *Engine, im *image.Image, conn image.Connectivity, mode seq.Mode, out *image.Labels) int {
+	t.Helper()
+	comps, err := e.LabelIntoContext(nil, im, conn, mode, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comps
+}
+
 // TestLabelMatchesSequentialCatalog checks the engine against the
 // sequential reference on all nine Figure 1 patterns x {Conn4, Conn8} x
-// {Binary, Grey} at several worker counts.
+// {Binary, Grey} at several worker counts — exact array compare.
 func TestLabelMatchesSequentialCatalog(t *testing.T) {
 	for _, id := range image.AllPatterns() {
 		im := image.Generate(id, 64)
@@ -33,8 +55,7 @@ func TestLabelMatchesSequentialCatalog(t *testing.T) {
 			for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
 				want := seq.LabelBFS(im, conn, mode)
 				for _, w := range workerCounts {
-					e := NewEngine(w)
-					got := e.Label(im, conn, mode)
+					got := mustLabel(t, NewEngine(w), im, conn, mode)
 					requireIdentical(t, got, want,
 						fmt.Sprintf("%v/%v/%v/workers=%d", id, conn, mode, w))
 				}
@@ -44,14 +65,16 @@ func TestLabelMatchesSequentialCatalog(t *testing.T) {
 }
 
 // TestLabelMatchesSequentialDARPA checks the engine on the grey-scale
-// benchmark scene.
+// benchmark scene in both modes (binary: every nonzero grey level is
+// foreground) and both connectivities.
 func TestLabelMatchesSequentialDARPA(t *testing.T) {
 	im := image.DARPASynthetic()
-	for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
-		want := seq.LabelBFS(im, image.Conn8, mode)
-		e := NewEngine(4)
-		got := e.Label(im, image.Conn8, mode)
-		requireIdentical(t, got, want, fmt.Sprintf("darpa/%v", mode))
+	for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
+		for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
+			want := seq.LabelBFS(im, conn, mode)
+			got := mustLabel(t, NewEngine(4), im, conn, mode)
+			requireIdentical(t, got, want, fmt.Sprintf("darpa/%v/%v", conn, mode))
+		}
 	}
 }
 
@@ -63,7 +86,7 @@ func TestLabelRandomAndTiny(t *testing.T) {
 			im := image.RandomBinary(n, density, uint64(n*100)+uint64(density*10))
 			want := seq.LabelBFS(im, image.Conn8, seq.Binary)
 			for _, w := range workerCounts {
-				got := NewEngine(w).Label(im, image.Conn8, seq.Binary)
+				got := mustLabel(t, NewEngine(w), im, image.Conn8, seq.Binary)
 				requireIdentical(t, got, want, fmt.Sprintf("n=%d/d=%g/w=%d", n, density, w))
 			}
 		}
@@ -71,7 +94,8 @@ func TestLabelRandomAndTiny(t *testing.T) {
 }
 
 // TestEngineReuse runs one engine across differing sizes and modes to prove
-// the scratch (union-find, queues, dirty lists) resets correctly.
+// the scratch (union-find, packed planes, run tables, edge slabs) resets
+// correctly.
 func TestEngineReuse(t *testing.T) {
 	e := NewEngine(4)
 	cases := []struct {
@@ -81,20 +105,50 @@ func TestEngineReuse(t *testing.T) {
 	for i, c := range cases {
 		im := image.RandomGrey(c.n, 8, uint64(i+1))
 		want := seq.LabelBFS(im, image.Conn8, c.mode)
-		got := e.Label(im, image.Conn8, c.mode)
+		got := mustLabel(t, e, im, image.Conn8, c.mode)
 		requireIdentical(t, got, want, fmt.Sprintf("reuse case %d", i))
 
-		// LabelInto on a dirty output must clear it and report the
+		// LabelIntoContext on a dirty output must clear it and report the
 		// component count.
 		out := image.NewLabels(c.n)
 		for j := range out.Lab {
 			out.Lab[j] = 12345
 		}
-		comps := e.LabelInto(im, image.Conn8, c.mode, out)
+		comps := mustLabelInto(t, e, im, image.Conn8, c.mode, out)
 		requireIdentical(t, out, want, fmt.Sprintf("reuse into case %d", i))
 		if comps != want.Components() {
 			t.Fatalf("case %d: components = %d, want %d", i, comps, want.Components())
 		}
+	}
+}
+
+// TestLabelPooled pins the package-level entry point's optional arguments:
+// a nil context and a nil recorder label like the engine, a recorder
+// receives the call's phases, and the pooled engine goes back to the pool
+// without it.
+func TestLabelPooled(t *testing.T) {
+	im := image.Generate(image.DualSpiral, 96)
+	want := seq.LabelBFS(im, image.Conn8, seq.Binary)
+	got, err := Label(nil, nil, im, image.Conn8, seq.Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, got, want, "pooled, no context, no recorder")
+	rec := obs.NewRecorder()
+	got, err = Label(context.Background(), rec, im, image.Conn8, seq.Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, got, want, "pooled, context and recorder")
+	if rec.Snapshot().WallPhaseNS("strip_label") <= 0 {
+		t.Error("recorder passed to Label recorded no strip_label phase")
+	}
+	rec.Reset()
+	if _, err := Label(nil, nil, im, image.Conn8, seq.Binary); err != nil {
+		t.Fatal(err)
+	}
+	if m := rec.Snapshot(); len(m.Phases) != 0 {
+		t.Errorf("recorder stayed installed on the pooled engine: %+v", m.Phases)
 	}
 }
 
@@ -117,7 +171,11 @@ func TestLabelConcurrent(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 5; iter++ {
 				i := (g + iter) % len(ims)
-				got := Label(ims[i], image.Conn8, seq.Binary)
+				got, err := Label(nil, nil, ims[i], image.Conn8, seq.Binary)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				for j := range wants[i].Lab {
 					if got.Lab[j] != wants[i].Lab[j] {
 						t.Errorf("goroutine %d: mismatch at %d", g, j)

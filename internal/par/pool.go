@@ -15,11 +15,11 @@ import (
 // across every later rental the way a single Engine's scratch amortizes
 // across calls).
 //
-// Return scrubs all per-renter configuration — observer, fault injector,
-// algorithm and merge backend — so a rented engine always starts from the
-// documented defaults no matter what the previous renter set. Unlike a
-// sync.Pool, a Pool is never drained by the garbage collector: a warm
-// service keeps its arenas.
+// Return scrubs all per-renter configuration — observer and fault
+// injector — so a rented engine always starts from the documented
+// defaults no matter what the previous renter set. Unlike a sync.Pool, a
+// Pool is never drained by the garbage collector: a warm service keeps its
+// arenas.
 type Pool struct {
 	workers int
 
@@ -43,8 +43,8 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Rent returns an idle engine, constructing one if the free list is empty.
 // The engine is configured with the documented defaults (no observer, no
-// fault injector, AlgoAuto, MergeAuto); the caller owns it until Return.
-// After Close, Rent fails with an error wrapping errs.ErrClosed.
+// fault injector); the caller owns it until Return. After Close, Rent fails
+// with an error wrapping errs.ErrClosed.
 func (p *Pool) Rent() (*Engine, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -83,8 +83,6 @@ func (p *Pool) Return(e *Engine) {
 	}
 	e.SetObserver(nil)
 	e.SetFaultInjector(nil)
-	e.SetAlgo(AlgoAuto)
-	e.SetMerge(MergeAuto)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

@@ -21,7 +21,7 @@ func TestEngineCloseRejectsCalls(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.Generate(image.DualSpiral, 32)
 	e := NewEngine(2)
-	if _, err := e.LabelErr(im, image.Conn8, seq.Binary); err != nil {
+	if _, err := e.LabelContext(nil, im, image.Conn8, seq.Binary); err != nil {
 		t.Fatalf("label before Close: %v", err)
 	}
 	if e.Closed() {
@@ -36,8 +36,8 @@ func TestEngineCloseRejectsCalls(t *testing.T) {
 	if !e.Closed() {
 		t.Fatal("Closed() false after Close")
 	}
-	if _, err := e.LabelErr(im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrClosed) {
-		t.Fatalf("LabelErr after Close: got %v, want ErrClosed", err)
+	if _, err := e.LabelContext(nil, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrClosed) {
+		t.Fatalf("LabelContext(nil) after Close: got %v, want ErrClosed", err)
 	}
 	if _, err := e.LabelContext(context.Background(), im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrClosed) {
 		t.Fatalf("LabelContext after Close: got %v, want ErrClosed", err)
@@ -46,7 +46,7 @@ func TestEngineCloseRejectsCalls(t *testing.T) {
 		t.Fatalf("Histogram after Close: got %v, want ErrClosed", err)
 	}
 	var re *errs.RunError
-	_, err := e.LabelErr(im, image.Conn8, seq.Binary)
+	_, err := e.LabelContext(nil, im, image.Conn8, seq.Binary)
 	if !errors.As(err, &re) {
 		t.Fatalf("post-Close error is %T, want *errs.RunError", err)
 	}
@@ -95,8 +95,6 @@ func TestPoolRentReturn(t *testing.T) {
 		t.Fatal("two concurrent rentals returned the same engine")
 	}
 	// Dirty every per-renter knob, then return.
-	a.SetAlgo(AlgoBFS)
-	a.SetMerge(MergeSV)
 	a.SetObserver(obs.NewRecorder())
 	a.SetFaultInjector(fault.New(1, fault.Panic, 1))
 	p.Return(a)
@@ -111,12 +109,11 @@ func TestPoolRentReturn(t *testing.T) {
 	if c != a && c != b {
 		t.Fatal("Rent after Return did not reuse a pooled engine")
 	}
-	if c.Algo() != AlgoAuto || c.Merge() != MergeAuto || c.Observer() != nil || c.fault != nil {
-		t.Fatalf("rented engine not scrubbed: algo=%v merge=%v obs=%v fault=%v",
-			c.Algo(), c.Merge(), c.Observer(), c.fault)
+	if c.Observer() != nil || c.fault != nil {
+		t.Fatalf("rented engine not scrubbed: obs=%v fault=%v", c.Observer(), c.fault)
 	}
 	im := image.Generate(image.DualSpiral, 32)
-	got, err := c.LabelErr(im, image.Conn8, seq.Binary)
+	got, err := c.LabelContext(nil, im, image.Conn8, seq.Binary)
 	if err != nil {
 		t.Fatalf("label on rented engine: %v", err)
 	}

@@ -6,18 +6,16 @@ import (
 	"parimg/internal/seq"
 )
 
-// runLabelInto is the run-based strip engine (AlgoRuns, both modes): the
-// hot per-pixel BFS of the bfs path is replaced by packed rows scanned
-// word-at-a-time into maximal runs — foreground runs over the bit plane in
-// Binary mode, equal-grey-level runs over the byte plane in Grey mode — a
-// strip-local union-find over runs with unite-by-minimum, and span-write
-// painting. Phases 2-4 (cross-strip border merge in the concurrent
-// union-find, final update, cleanup) are shared with the BFS path, except
-// that the final update walks the strip's run table — one find and one
-// span write per run — instead of every pixel. The border merge already
-// compares raw pixels under the mode, so cross-strip unification of grey
-// runs needs no extra value plumbing: two runs unite across a strip
-// boundary exactly when a pair of their pixels connects.
+// runLabelInto is the strip engine: packed rows scanned word-at-a-time
+// into maximal runs — foreground runs over the bit plane in Binary mode,
+// equal-grey-level runs over the byte plane in Grey mode — a strip-local
+// union-find over runs with unite-by-minimum, and span-write painting
+// (Phase 1); the cross-strip border merge in the concurrent union-find
+// (Phase 2); a final update that walks each strip's run table — one find
+// and one span write per run (Phase 3); and the union-find cleanup (Phase
+// 4). Grey runs carry their grey level, so the border merge unites two
+// runs across a strip boundary exactly when a pair of their pixels
+// connects under the mode.
 //
 // Exactness: a run's seed label is the global row-major index of its first
 // pixel plus one, and the minimum-index pixel of any component fragment
@@ -78,7 +76,7 @@ func (e *Engine) runLabelInto(im *image.Image, conn image.Connectivity, mode seq
 	}
 
 	e.phase("border_merge", func() {
-		e.borderMerge(im, out, conn, mode, W)
+		e.borderMerge(out, conn, mode, W)
 	})
 	if e.interrupted() {
 		return 0
@@ -86,8 +84,7 @@ func (e *Engine) runLabelInto(im *image.Image, conn image.Connectivity, mode seq
 
 	// Phase 3 — final update over runs: a run is uniformly labeled, so one
 	// find on its painted label and one span rewrite (only when the root
-	// moved) replace the BFS path's per-pixel sweep. Background costs
-	// nothing — it has no runs.
+	// moved) relabel it. Background costs nothing — it has no runs.
 	e.phase("relabel", func() {
 		e.parallelDo(W, func(w int) {
 			e.checkFault("relabel", w, 1)

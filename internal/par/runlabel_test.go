@@ -8,54 +8,43 @@ import (
 	"parimg/internal/seq"
 )
 
-// TestRunLabelMatchesSequentialCatalog checks the forced run engine
-// against the sequential reference on all nine Figure 1 patterns x
-// {Conn4, Conn8} at several worker counts — exact array compare.
+// TestRunLabelMatchesSequentialCatalog drives the run engine through one
+// reused engine per worker count into a dirty output buffer, on all nine
+// Figure 1 patterns x {Conn4, Conn8} in binary mode: the labels must be
+// the exact sequential array and the returned count its component count.
 func TestRunLabelMatchesSequentialCatalog(t *testing.T) {
-	for _, id := range image.AllPatterns() {
-		im := image.Generate(id, 64)
-		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
-			want := seq.LabelBFS(im, conn, seq.Binary)
-			for _, w := range workerCounts {
-				e := NewEngine(w)
-				e.SetAlgo(AlgoRuns)
-				got := e.Label(im, conn, seq.Binary)
-				requireIdentical(t, got, want,
-					fmt.Sprintf("runs/%v/%v/workers=%d", id, conn, w))
+	out := image.NewLabels(64)
+	for _, w := range workerCounts {
+		e := NewEngine(w)
+		for _, id := range image.AllPatterns() {
+			im := image.Generate(id, 64)
+			for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
+				want := seq.LabelBFS(im, conn, seq.Binary)
+				for j := range out.Lab {
+					out.Lab[j] = 12345
+				}
+				comps := mustLabelInto(t, e, im, conn, seq.Binary, out)
+				ctx := fmt.Sprintf("runs/%v/%v/workers=%d", id, conn, w)
+				requireIdentical(t, out, want, ctx)
+				if wc := want.Components(); comps != wc {
+					t.Fatalf("%s: components = %d, want %d", ctx, comps, wc)
+				}
 			}
 		}
 	}
 }
 
-// TestRunLabelMatchesSequentialDARPA checks the run engine on the DARPA
-// benchmark scene in binary mode (every nonzero grey level is foreground),
-// both connectivities.
+// TestRunLabelMatchesSequentialDARPA checks the binary run engine on the
+// DARPA benchmark scene (every nonzero grey level is foreground) in both
+// connectivities and at several worker counts — the binary counterpart of
+// TestGreyRunsMatchesSequentialDARPA.
 func TestRunLabelMatchesSequentialDARPA(t *testing.T) {
 	im := image.DARPASynthetic()
 	for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 		want := seq.LabelBFS(im, conn, seq.Binary)
-		e := NewEngine(4)
-		e.SetAlgo(AlgoRuns)
-		got := e.Label(im, conn, seq.Binary)
-		requireIdentical(t, got, want, fmt.Sprintf("runs/darpa/%v", conn))
-	}
-}
-
-// TestAlgoDispatch pins the resolution table: Auto resolves to the run
-// engine for every mode — the grey run extractor retired the BFS fallback
-// — and only an explicit BFS choice selects the per-pixel path.
-func TestAlgoDispatch(t *testing.T) {
-	cases := []struct {
-		algo Algo
-		want Algo
-	}{
-		{AlgoAuto, AlgoRuns},
-		{AlgoBFS, AlgoBFS},
-		{AlgoRuns, AlgoRuns},
-	}
-	for _, c := range cases {
-		if got := c.algo.effective(); got != c.want {
-			t.Errorf("%v.effective() = %v, want %v", c.algo, got, c.want)
+		for _, w := range []int{1, 3, 8} {
+			got := mustLabel(t, NewEngine(w), im, conn, seq.Binary)
+			requireIdentical(t, got, want, fmt.Sprintf("runs/darpa/%v/workers=%d", conn, w))
 		}
 	}
 }
@@ -73,29 +62,24 @@ func TestGreyRunsMatchesBFS(t *testing.T) {
 		im.Set(i, 2, 1)
 		im.Set(i, 3, 2)
 	}
-	for _, algo := range []Algo{AlgoAuto, AlgoRuns} {
-		e := NewEngine(3)
-		e.SetAlgo(algo)
-		got := e.Label(im, image.Conn8, seq.Grey)
-		want := seq.LabelBFS(im, image.Conn8, seq.Grey)
-		requireIdentical(t, got, want, fmt.Sprintf("grey runs %v", algo))
-		if c := got.Components(); c != 2 {
-			t.Fatalf("grey labeling found %d components, want 2", c)
-		}
+	got := mustLabel(t, NewEngine(3), im, image.Conn8, seq.Grey)
+	want := seq.LabelBFS(im, image.Conn8, seq.Grey)
+	requireIdentical(t, got, want, "grey runs")
+	if c := got.Components(); c != 2 {
+		t.Fatalf("grey labeling found %d components, want 2", c)
 	}
 }
 
 // TestGreyRunsMatchesSequentialDARPA checks the grey run engine on the
 // DARPA benchmark scene — the paper's flagship grey workload and the
-// acceptance case for retiring the BFS fallback — under Algo auto, both
-// connectivities, several worker counts, exact array compare.
+// acceptance case for retiring the BFS fallback — in both connectivities
+// and at several worker counts, exact array compare.
 func TestGreyRunsMatchesSequentialDARPA(t *testing.T) {
 	im := image.DARPASynthetic()
 	for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 		want := seq.LabelBFS(im, conn, seq.Grey)
 		for _, w := range []int{1, 3, 8} {
-			e := NewEngine(w)
-			got := e.Label(im, conn, seq.Grey)
+			got := mustLabel(t, NewEngine(w), im, conn, seq.Grey)
 			requireIdentical(t, got, want, fmt.Sprintf("grey runs darpa/%v/workers=%d", conn, w))
 		}
 	}
@@ -111,8 +95,7 @@ func TestGreyRunsMatchesSequentialRandom(t *testing.T) {
 			im := image.RandomGrey(n, k, uint64(n*k))
 			want := seq.LabelBFS(im, image.Conn8, seq.Grey)
 			for _, w := range workerCounts {
-				e := NewEngine(w)
-				got := e.Label(im, image.Conn8, seq.Grey)
+				got := mustLabel(t, NewEngine(w), im, image.Conn8, seq.Grey)
 				requireIdentical(t, got, want,
 					fmt.Sprintf("grey runs n=%d k=%d workers=%d", n, k, w))
 			}
@@ -136,8 +119,7 @@ func TestGreyRunsWideLevels(t *testing.T) {
 		}
 	}
 	for _, w := range []int{1, 4} {
-		e := NewEngine(w)
-		got := e.Label(im, image.Conn8, seq.Grey)
+		got := mustLabel(t, NewEngine(w), im, image.Conn8, seq.Grey)
 		want := seq.LabelBFS(im, image.Conn8, seq.Grey)
 		requireIdentical(t, got, want, fmt.Sprintf("wide grey workers=%d", w))
 		if c := got.Components(); c != 2 {
@@ -146,59 +128,25 @@ func TestGreyRunsWideLevels(t *testing.T) {
 	}
 }
 
-// TestParseAlgo checks flag-value parsing and String round-trips.
-func TestParseAlgo(t *testing.T) {
-	for _, c := range []struct {
-		s    string
-		want Algo
-	}{{"auto", AlgoAuto}, {"", AlgoAuto}, {"bfs", AlgoBFS}, {"runs", AlgoRuns}} {
-		got, err := ParseAlgo(c.s)
-		if err != nil || got != c.want {
-			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", c.s, got, err, c.want)
-		}
-	}
-	if _, err := ParseAlgo("dfs"); err == nil {
-		t.Error("ParseAlgo(dfs): want error")
-	}
-	for _, a := range []Algo{AlgoAuto, AlgoBFS, AlgoRuns} {
-		back, err := ParseAlgo(a.String())
-		if err != nil || back != a {
-			t.Errorf("round-trip %v: got %v, %v", a, back, err)
-		}
-	}
-}
-
-// TestRunEngineReuseAndInto runs one engine across sizes, algorithms and
-// dirty outputs to prove the run scratch (bitplane, run tables, union-find)
-// resets correctly between calls.
+// TestRunEngineReuseAndInto runs one engine across sizes, including an odd
+// side, and dirty outputs to prove the run scratch (bitplane, run tables,
+// union-find) resets correctly between calls.
 func TestRunEngineReuseAndInto(t *testing.T) {
 	e := NewEngine(4)
-	e.SetAlgo(AlgoRuns)
 	for i, n := range []int{64, 32, 65, 16, 64} {
 		im := image.RandomBinary(n, 0.5, uint64(i+1))
 		want := seq.LabelBFS(im, image.Conn8, seq.Binary)
-		got := e.Label(im, image.Conn8, seq.Binary)
+		got := mustLabel(t, e, im, image.Conn8, seq.Binary)
 		requireIdentical(t, got, want, fmt.Sprintf("runs reuse case %d", i))
 
 		out := image.NewLabels(n)
 		for j := range out.Lab {
 			out.Lab[j] = 12345
 		}
-		comps := e.LabelInto(im, image.Conn8, seq.Binary, out)
+		comps := mustLabelInto(t, e, im, image.Conn8, seq.Binary, out)
 		requireIdentical(t, out, want, fmt.Sprintf("runs reuse into case %d", i))
 		if wc := want.Components(); comps != wc {
 			t.Fatalf("case %d: components = %d, want %d", i, comps, wc)
 		}
-	}
-}
-
-// TestLabelWithPooled exercises the pooled package-level entry point for
-// both explicit algorithms.
-func TestLabelWithPooled(t *testing.T) {
-	im := image.Generate(image.DualSpiral, 96)
-	want := seq.LabelBFS(im, image.Conn8, seq.Binary)
-	for _, algo := range []Algo{AlgoAuto, AlgoBFS, AlgoRuns} {
-		got := LabelWith(algo, MergeAuto, im, image.Conn8, seq.Binary)
-		requireIdentical(t, got, want, fmt.Sprintf("pooled %v", algo))
 	}
 }

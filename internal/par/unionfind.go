@@ -6,7 +6,7 @@ import "sync/atomic"
 // ("Simple Concurrent Connected Components Algorithms"): a flat parent
 // array updated with compare-and-swap, unite-by-minimum linking, and path
 // halving during finds. It resolves the tile-border merge graph: the nodes
-// are the strip-local BFS labels (global row-major seed index + 1) and the
+// are the strip-local run labels (global row-major seed index + 1) and the
 // convention parent[x] == 0 means x is a root, which makes an all-zero
 // array the ready state — no O(n^2) re-initialization between runs.
 //
@@ -68,64 +68,13 @@ func (u *cuf) Unite(a, b uint32) bool {
 	}
 }
 
-// step returns x's effective one-hop parent: parent[x], or x itself when x
-// is a root. It is the O(1) read the Shiloach-Vishkin rounds use in place
-// of a full find — repeated rounds do the chasing that find does inline.
-func (u *cuf) step(x uint32) uint32 {
-	if p := atomic.LoadUint32(&u.parent[x]); p != 0 {
-		return p
-	}
-	return x
-}
-
-// hookMin lowers x's effective parent toward target with a write-min CAS
-// loop: the write happens only while target is strictly smaller than x's
-// current effective parent, so the strictly-decreasing-parents invariant
-// holds under any interleaving and a racing smaller value is never
-// overwritten. It returns whether this call performed x's first hook (the
-// root -> child transition, which happens at most once per node and is what
-// the component count charges) and whether it wrote at all. The caller
-// guarantees target and x are in the same component.
-func (u *cuf) hookMin(x, target uint32) (first, changed bool) {
-	for {
-		cur := atomic.LoadUint32(&u.parent[x])
-		eff := cur
-		if eff == 0 {
-			eff = x
-		}
-		if target >= eff {
-			return false, false
-		}
-		if atomic.CompareAndSwapUint32(&u.parent[x], cur, target) {
-			return cur == 0, true
-		}
-	}
-}
-
-// shortcut pointer-jumps x one level: parent[x] = parent[parent[x]], the
-// compress half of a Shiloach-Vishkin round. The grandparent is always
-// smaller than the parent, so the CAS is a write-min like hookMin's; a lost
-// race means another worker lowered parent[x] even further, and that worker
-// reports the change. Returns whether this call changed the entry.
-func (u *cuf) shortcut(x uint32) bool {
-	cur := atomic.LoadUint32(&u.parent[x])
-	if cur == 0 {
-		return false
-	}
-	g := atomic.LoadUint32(&u.parent[cur])
-	if g == 0 {
-		return false
-	}
-	return atomic.CompareAndSwapUint32(&u.parent[x], cur, g)
-}
-
 // clear zeroes the given entries, restoring the all-zero ready state. Each
-// worker clears the labels it passed to unite (tree backend) or the edge
-// endpoints in its slab (SV backend); together the lists cover every
-// written entry: every written index and every written parent value is an
-// edge endpoint (unite arguments, hook targets and shortcut jumps all
-// resolve to prior parent values, which bottom out at the endpoints
-// themselves), and every endpoint appears in some worker's list.
+// worker clears the edge endpoints in its slab, the labels it passed to
+// unite; together the lists cover every written entry: every written index
+// and every written parent value is an edge endpoint (unite links roots
+// found from endpoints, and path halving only writes prior parent values,
+// which bottom out at the endpoints themselves), and every endpoint
+// appears in some worker's list.
 func (u *cuf) clear(labels []uint32) {
 	for _, l := range labels {
 		atomic.StoreUint32(&u.parent[l], 0)

@@ -96,7 +96,7 @@ func splitSlabs(edges []uint32, w int) [][]uint32 {
 
 // TestCufConcurrentUniteCanonical hammers unite from several goroutines and
 // checks the roots against the sequential oracle, then the clear coverage.
-// Run under -race this also proves the tree backend's memory safety.
+// Run under -race this also proves the border merge's memory safety.
 func TestCufConcurrentUniteCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -120,134 +120,5 @@ func TestCufConcurrentUniteCanonical(t *testing.T) {
 		wg.Wait()
 		checkCanonical(t, &u, edges, size, "unite")
 		checkCleared(t, &u, slabs, "unite")
-	}
-}
-
-// TestCufConcurrentHookShortcutCanonical runs the same property through the
-// Shiloach-Vishkin primitives the sv backend composes: synchronized rounds
-// of hookMin over each worker's slab followed by shortcut over its
-// endpoints, until no worker changed anything. At convergence every label
-// must resolve to its component minimum, and clearing the slabs must
-// restore the all-zero state — the endpoint-coverage invariant for hooks
-// and shortcuts.
-func TestCufConcurrentHookShortcutCanonical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		size := 64 + rng.Intn(512)
-		edges := randomEdges(rng, size, size/2+rng.Intn(2*size))
-		workers := 2 + rng.Intn(6)
-		slabs := splitSlabs(edges, workers)
-
-		var u cuf
-		u.reset(size)
-		changed := make([]bool, workers)
-		for round := 0; ; round++ {
-			if round > size {
-				t.Fatalf("no convergence after %d rounds", round)
-			}
-			var wg sync.WaitGroup
-			for w, slab := range slabs {
-				wg.Add(1)
-				go func(w int, s []uint32) {
-					defer wg.Done()
-					ch := false
-					for k := 0; k+1 < len(s); k += 2 {
-						a, b := u.step(s[k]), u.step(s[k+1])
-						if a == b {
-							continue
-						}
-						if a > b {
-							a, b = b, a
-						}
-						if _, ok := u.hookMin(b, a); ok {
-							ch = true
-						}
-					}
-					for _, x := range s {
-						if u.shortcut(x) {
-							ch = true
-						}
-					}
-					changed[w] = ch
-				}(w, slab)
-			}
-			wg.Wait()
-			any := false
-			for w := range changed {
-				any = any || changed[w]
-				changed[w] = false
-			}
-			if !any {
-				break
-			}
-		}
-		checkCanonical(t, &u, edges, size, "hook/shortcut")
-		checkCleared(t, &u, slabs, "hook/shortcut")
-	}
-}
-
-// TestCufMixedBackendsAgree interleaves both linking disciplines on the
-// same instance — some workers running unite, others hook/shortcut rounds —
-// and still requires canonical minima. The engine never mixes backends in
-// one merge, but both preserve the strictly-decreasing-parents invariant,
-// so their composition must too; this is the strongest cheap check that
-// neither primitive depends on having the array to itself.
-func TestCufMixedBackendsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		size := 128 + rng.Intn(256)
-		edges := randomEdges(rng, size, 2*size)
-		slabs := splitSlabs(edges, 4)
-
-		var u cuf
-		u.reset(size)
-		var wg sync.WaitGroup
-		for w, slab := range slabs {
-			wg.Add(1)
-			go func(w int, s []uint32) {
-				defer wg.Done()
-				if w%2 == 0 {
-					for k := 0; k+1 < len(s); k += 2 {
-						u.Unite(s[k], s[k+1])
-					}
-					return
-				}
-				// Hook/shortcut workers loop rounds locally until their
-				// slab stops changing; unite workers guarantee global
-				// progress meanwhile.
-				for {
-					ch := false
-					for k := 0; k+1 < len(s); k += 2 {
-						a, b := u.step(s[k]), u.step(s[k+1])
-						if a == b {
-							continue
-						}
-						if a > b {
-							a, b = b, a
-						}
-						if _, ok := u.hookMin(b, a); ok {
-							ch = true
-						}
-					}
-					for _, x := range s {
-						if u.shortcut(x) {
-							ch = true
-						}
-					}
-					if !ch {
-						return
-					}
-				}
-			}(w, slab)
-		}
-		wg.Wait()
-		// The mixed run may stop with hook workers converged relative to a
-		// state unite workers then advanced; finish deterministically so
-		// the oracle comparison is well-defined.
-		for k := 0; k+1 < len(edges); k += 2 {
-			u.Unite(edges[k], edges[k+1])
-		}
-		checkCanonical(t, &u, edges, size, "mixed")
-		checkCleared(t, &u, slabs, "mixed")
 	}
 }

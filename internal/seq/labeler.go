@@ -1,10 +1,6 @@
 package seq
 
-import (
-	"sync/atomic"
-
-	"parimg/internal/image"
-)
+import "parimg/internal/image"
 
 // Labeler is a reusable sequential connected-components labeler: it owns the
 // BFS scratch (the traversal queue and an epoch-stamped visited set) so that
@@ -14,13 +10,6 @@ import (
 type Labeler struct {
 	queue   []int32
 	visited Visited
-
-	// Stop, when non-nil, is a cooperative cancellation flag checked
-	// periodically by LabelTile (see TileLabeler): once set, labeling
-	// returns early with partial labels. The host-parallel engine points
-	// every worker's Labeler at its run's stop flag; nil (the default)
-	// costs nothing.
-	Stop *atomic.Bool
 }
 
 // Label labels a whole image like LabelBFS, allocating only the result.
@@ -45,7 +34,7 @@ func (l *Labeler) LabelInto(im *image.Image, conn image.Connectivity, mode Mode,
 // be zeroed by the caller; returns the number of tile components.
 func (l *Labeler) LabelTile(pix []uint32, rows, cols int, conn image.Connectivity, mode Mode,
 	labelAt func(i, j int) uint32, labels []uint32) int {
-	comps, queue := TileLabeler(pix, rows, cols, conn, mode, labelAt, labels, l.queue, l.Stop)
+	comps, queue := TileLabeler(pix, rows, cols, conn, mode, labelAt, labels, l.queue)
 	l.queue = queue
 	return comps
 }

@@ -7,16 +7,9 @@ package seq
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"parimg/internal/image"
 )
-
-// stopStride is how many BFS pops (or painted runs) a cancelable loop
-// processes between looks at its stop flag: coarse enough that the atomic
-// load vanishes in the per-pixel work, fine enough that cancellation lands
-// within tens of microseconds.
-const stopStride = 4096
 
 // Mode selects which pixels are considered connected.
 type Mode int
@@ -70,15 +63,10 @@ func Histogram(pix []uint32, h []uint32) error {
 // pix and labels are row-major with rows*cols elements; labels must be
 // zeroed. Returns the number of components found in the tile.
 //
-// stop, when non-nil, is a cooperative cancellation flag: the scan checks
-// it once per row and the BFS drain every stopStride pops, returning early
-// (with labels partially written) once it is set. Callers that cancel are
-// responsible for discarding the partial labels. A nil stop costs nothing.
-//
 // Following Section 5.1, the scan only needs to look at forward neighbors,
 // but the BFS itself explores all neighbors of the connectivity.
 func TileLabeler(pix []uint32, rows, cols int, conn image.Connectivity, mode Mode,
-	labelAt func(i, j int) uint32, labels []uint32, queue []int32, stop *atomic.Bool) (int, []int32) {
+	labelAt func(i, j int) uint32, labels []uint32, queue []int32) (int, []int32) {
 	if len(pix) != rows*cols || len(labels) != rows*cols {
 		// Invariant panic: the tile buffers are sized by the backends from
 		// the same layout; a mismatch is a bug, not caller input.
@@ -90,11 +78,7 @@ func TileLabeler(pix []uint32, rows, cols int, conn image.Connectivity, mode Mod
 	if queue == nil {
 		queue = make([]int32, 0, rows*cols)
 	}
-	pops := 0
 	for i := 0; i < rows; i++ {
-		if stop != nil && stop.Load() {
-			return comps, queue
-		}
 		for j := 0; j < cols; j++ {
 			idx := i*cols + j
 			if pix[idx] == 0 || labels[idx] != 0 {
@@ -110,13 +94,6 @@ func TileLabeler(pix []uint32, rows, cols int, conn image.Connectivity, mode Mod
 			labels[idx] = lab
 			queue = append(queue[:0], int32(idx))
 			for len(queue) > 0 {
-				if stop != nil {
-					// One giant component can cover the whole tile, so
-					// per-row checks alone are not responsive enough.
-					if pops++; pops%stopStride == 0 && stop.Load() {
-						return comps, queue
-					}
-				}
 				u := int(queue[len(queue)-1])
 				queue = queue[:len(queue)-1]
 				ui, uj := u/cols, u%cols

@@ -232,7 +232,7 @@ func TestTileLabelerPanicsOnSizeMismatch(t *testing.T) {
 		}
 	}()
 	TileLabeler(make([]uint32, 4), 2, 3, image.Conn8, Binary,
-		func(i, j int) uint32 { return 1 }, make([]uint32, 6), nil, nil)
+		func(i, j int) uint32 { return 1 }, make([]uint32, 6), nil)
 }
 
 func TestFloodRelabel(t *testing.T) {
@@ -245,7 +245,7 @@ func TestFloodRelabel(t *testing.T) {
 	}
 	labels := make([]uint32, 16)
 	TileLabeler(pix, 4, 4, image.Conn4, Grey,
-		func(i, j int) uint32 { return uint32(i*4+j) + 1 }, labels, nil, nil)
+		func(i, j int) uint32 { return uint32(i*4+j) + 1 }, labels, nil)
 	var visited Visited
 	visited.Reset(16)
 	FloodRelabel(pix, labels, 4, 4, image.Conn4, Grey, 0, 999, &visited, nil)

@@ -14,7 +14,6 @@ import (
 	"parimg/internal/errs"
 	"parimg/internal/image"
 	"parimg/internal/obs"
-	"parimg/internal/par"
 	"parimg/internal/seq"
 )
 
@@ -42,8 +41,8 @@ type errorResponse struct {
 // Handler returns the server's HTTP interface:
 //
 //	POST /label    body: PGM (P5 or P2). Query: mode=binary|grey,
-//	               conn=4|8, algo=auto|bfs|runs, merge=auto|tree|sv,
-//	               census=1, labels=1, out=json|pgm, deadline_ms=N.
+//	               conn=4|8, census=1, labels=1, out=json|pgm,
+//	               deadline_ms=N. Unknown parameters are ignored.
 //	GET  /metrics  JSON array of parimg-metrics/v1 documents: the
 //	               aggregate first, then recent per-request documents.
 //	GET  /healthz  16×16 label round-trip through the scheduler path.
@@ -118,18 +117,6 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errs.Bad("serve.label", "unknown connectivity %q (want 4 or 8)", q.Get("conn")))
 		return
 	}
-	algo, err := par.ParseAlgo(q.Get("algo"))
-	if err != nil {
-		writeError(w, errs.Bad("serve.label", "%v", err))
-		return
-	}
-	job.Algo = algo
-	merge, err := par.ParseMerge(q.Get("merge"))
-	if err != nil {
-		writeError(w, errs.Bad("serve.label", "%v", err))
-		return
-	}
-	job.Merge = merge
 	out := q.Get("out")
 	if out == "" {
 		out = "json"

@@ -59,7 +59,9 @@ func TestHTTPLabelJSON(t *testing.T) {
 
 	im := image.RandomGrey(64, 8, 3)
 	want := seq.LabelBFS(im, image.Conn8, seq.Grey)
-	resp := post(t, ts.URL+"/label?mode=grey&census=1&labels=1", pgmBytes(t, im))
+	// The retired algo and merge parameters are ignored like any unknown
+	// parameter, so old clients still get the identical labeling.
+	resp := post(t, ts.URL+"/label?mode=grey&census=1&labels=1&algo=bfs&merge=sv", pgmBytes(t, im))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
@@ -211,8 +213,6 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"garbage body", "/label", []byte("not a pgm")},
 		{"bad mode", "/label?mode=sepia", good},
 		{"bad conn", "/label?conn=6", good},
-		{"bad algo", "/label?algo=quantum", good},
-		{"bad merge", "/label?merge=blend", good},
 		{"bad out", "/label?out=bmp", good},
 		{"bad deadline", "/label?deadline_ms=soon", good},
 		{"negative deadline", "/label?deadline_ms=-1", good},
@@ -277,8 +277,8 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 	if docs[0].Image != "aggregate" {
 		t.Fatalf("first doc is %q, want the aggregate", docs[0].Image)
 	}
-	if docs[0].Counters["runs"] < 2 {
-		t.Fatalf("aggregate runs = %d, want >= 2", docs[0].Counters["runs"])
+	if docs[0].Counters["documents"] < 2 {
+		t.Fatalf("aggregate documents = %d, want >= 2", docs[0].Counters["documents"])
 	}
 	// The per-request tail must include the upload with its phase split.
 	var sawUpload bool

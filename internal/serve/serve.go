@@ -117,14 +117,11 @@ func (c Config) normalized() (Config, error) {
 }
 
 // Job is one labeling request. Image is required; zero values of the other
-// fields select the engine defaults (Conn8, Binary, AlgoAuto, MergeAuto,
-// no census).
+// fields select the engine defaults (Conn8, Binary, no census).
 type Job struct {
 	Image *image.Image
 	Conn  image.Connectivity
 	Mode  seq.Mode
-	Algo  par.Algo
-	Merge par.Merge
 	// Census also computes the per-component statistics (size, bounding
 	// box, centroid) after labeling, timed as the "census" phase.
 	Census bool
@@ -263,8 +260,6 @@ func (s *Server) run(t *task) {
 		return
 	}
 	defer s.pool.Return(e)
-	e.SetAlgo(t.job.Algo)
-	e.SetMerge(t.job.Merge)
 	e.SetObserver(rec)
 	e.SetFaultInjector(t.job.Fault)
 	labels := image.NewLabels(t.job.Image.N)
@@ -296,8 +291,6 @@ func (s *Server) finish(t *task, rec *obs.Recorder) {
 	m := rec.Snapshot()
 	m.Command = "imgccd"
 	m.Backend = "par"
-	m.Algo = t.job.Algo.String()
-	m.Merge = t.job.Merge.String()
 	m.Workers = s.cfg.EngineWorkers
 	m.Image = t.job.Name
 	m.N = t.job.Image.N

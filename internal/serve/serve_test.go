@@ -304,8 +304,8 @@ func TestMetricsDocsAllValid(t *testing.T) {
 	if agg.Image != "aggregate" || agg.Command != "imgccd" {
 		t.Fatalf("aggregate doc mislabeled: %+v", agg)
 	}
-	if agg.Counters["runs"] != 6 {
-		t.Fatalf("aggregate runs = %d, want 6", agg.Counters["runs"])
+	if agg.Counters["documents"] != 6 {
+		t.Fatalf("aggregate documents = %d, want 6", agg.Counters["documents"])
 	}
 	if agg.Counters["runners"] != 2 || agg.Counters["engine_workers"] != 1 {
 		t.Fatalf("aggregate sizing counters wrong: %v", agg.Counters)

@@ -45,7 +45,7 @@ func residentLabels(pix []uint32, rows, cols int, conn image.Connectivity,
 	mode seq.Mode) ([]uint32, int) {
 	lab := make([]uint32, rows*cols)
 	comps, _ := seq.TileLabeler(pix, rows, cols, conn, mode,
-		func(i, j int) uint32 { return uint32(i*cols+j) + 1 }, lab, nil, nil)
+		func(i, j int) uint32 { return uint32(i*cols+j) + 1 }, lab, nil)
 	return lab, comps
 }
 
@@ -168,33 +168,29 @@ func checkCensus(t *testing.T, name string, res *Result, pix, lab []uint32) {
 }
 
 // TestStreamAgreesWithParEngine pins the refactored slab-merge seam from
-// both sides: the host-parallel engine (both border-merge backends) and
-// the streaming pipeline must produce the same components and the same
-// dense rendering on the same image.
+// both sides: the host-parallel engine and the streaming pipeline must
+// produce the same components and the same dense rendering on the same
+// image.
 func TestStreamAgreesWithParEngine(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 96)
 	pgm := encodePGM(im.Pix, im.N, im.N, 255)
 	refLab, comps := residentLabels(im.Pix, im.N, im.N, image.Conn8, seq.Binary)
 	want := renderDense(refLab, im.N, im.N, comps)
-	for _, merge := range []par.Merge{par.MergeTree, par.MergeSV} {
-		e := par.NewEngine(4)
-		e.SetMerge(merge)
-		got, err := e.LabelErr(im, image.Conn8, seq.Binary)
-		if err != nil {
-			t.Fatalf("merge=%v: %v", merge, err)
-		}
-		if got.Components() != comps {
-			t.Errorf("merge=%v: engine found %d components, want %d", merge, got.Components(), comps)
-		}
-		if pr := renderDense(got.Lab, im.N, im.N, got.Components()); !bytes.Equal(pr, want) {
-			t.Errorf("merge=%v: engine rendering differs from resident reference", merge)
-		}
+	got, err := par.NewEngine(4).LabelContext(nil, im, image.Conn8, seq.Binary)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, got := streamLabel(t, pgm, Options{Conn: image.Conn8, BandRows: 17})
+	if got.Components() != comps {
+		t.Errorf("engine found %d components, want %d", got.Components(), comps)
+	}
+	if pr := renderDense(got.Lab, im.N, im.N, got.Components()); !bytes.Equal(pr, want) {
+		t.Errorf("engine rendering differs from resident reference")
+	}
+	res, streamed := streamLabel(t, pgm, Options{Conn: image.Conn8, BandRows: 17})
 	if res.Components != int64(comps) {
 		t.Errorf("stream found %d components, want %d", res.Components, comps)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(streamed, want) {
 		t.Errorf("stream rendering differs from resident reference")
 	}
 }

@@ -1,6 +1,7 @@
 package parimg_test
 
 import (
+	"context"
 	"math"
 	"os"
 	"os/exec"
@@ -20,7 +21,6 @@ import (
 func TestParMetricsPhasesCoverTotal(t *testing.T) {
 	im := parimg.GeneratePattern(parimg.DualSpiral, 512)
 	eng := parimg.NewParallelEngine(4)
-	eng.SetAlgo(parimg.AlgoRuns)
 	rec := parimg.NewMetricsRecorder()
 	eng.SetObserver(rec)
 	out := parimg.NewLabels(im.N)
@@ -29,8 +29,11 @@ func TestParMetricsPhasesCoverTotal(t *testing.T) {
 	for attempt := 0; attempt < 5; attempt++ {
 		rec.Reset()
 		start := time.Now()
-		eng.LabelInto(im, parimg.Conn8, parimg.Binary, out)
+		_, err := eng.LabelIntoContext(context.Background(), im, parimg.Conn8, parimg.Binary, out)
 		total := time.Since(start).Nanoseconds()
+		if err != nil {
+			t.Fatal(err)
+		}
 		m := rec.Snapshot()
 		m.TotalNS = total
 		if err := m.Validate(); err != nil {
@@ -147,12 +150,12 @@ func TestMetricsFlagSmoke(t *testing.T) {
 
 	parPath := filepath.Join(dir, "par.json")
 	runImgcc(t, "-pattern", "four-squares", "-n", "128", "-backend", "par",
-		"-algo", "runs", "-workers", "2", "-top", "0", "-metrics", parPath)
+		"-workers", "2", "-top", "0", "-metrics", parPath)
 	m, err := obs.ReadFile(parPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Backend != "par" || m.Algo != "runs" || m.Workers != 2 ||
+	if m.Backend != "par" || m.Workers != 2 ||
 		m.N != 128 || m.Image != "four-squares" {
 		t.Errorf("par metrics context fields wrong: %+v", m)
 	}

@@ -122,10 +122,6 @@ type (
 	MachineSpec = bdm.CostParams
 	// Report is the simulated execution report of a parallel run.
 	Report = bdm.Report
-	// Algo selects the host-parallel strip labeling algorithm.
-	Algo = par.Algo
-	// Merge selects the host-parallel border-merge backend.
-	Merge = par.Merge
 	// Metrics is the observability document of one run: per-phase times,
 	// operation counters and modeled communication volume, serialized as
 	// the MetricsSchema JSON format by the commands' -metrics flag.
@@ -158,40 +154,6 @@ const (
 	Binary = seq.Binary
 	Grey   = seq.Grey
 )
-
-// Host-parallel strip labeling algorithms (LabelOptions.Algo; honored by
-// the host-parallel backend only). AlgoAuto and AlgoRuns run the run-based
-// engine for both modes — foreground runs over the bit plane in Binary,
-// equal-grey-level runs over the byte plane in Grey; AlgoBFS forces the
-// paper's Section 5.1 per-pixel BFS. Every choice produces the exact
-// labeling of LabelSequential.
-const (
-	AlgoAuto = par.AlgoAuto
-	AlgoBFS  = par.AlgoBFS
-	AlgoRuns = par.AlgoRuns
-)
-
-// ParseAlgo resolves an -algo flag value ("auto", "bfs", "runs").
-func ParseAlgo(s string) (Algo, error) { return par.ParseAlgo(s) }
-
-// Host-parallel border-merge backends (LabelOptions.Merge; honored by the
-// host-parallel backend only). After the per-strip labeling, the cross-strip
-// boundaries are reduced to a deduplicated union-edge list — by intersecting
-// the strips' boundary run lists when the run engine labeled them, per pixel
-// otherwise — and then resolved either by feeding each edge to the
-// concurrent union-find (MergeTree, the paper-shaped backend) or by
-// Shiloach-Vishkin hook-and-compress rounds over the shared parent array
-// (MergeSV, which wins on component-dense boundaries). MergeAuto, the
-// default, picks per run from the measured boundary-edge density. Every
-// choice produces the exact labeling of LabelSequential.
-const (
-	MergeAuto = par.MergeAuto
-	MergeTree = par.MergeTree
-	MergeSV   = par.MergeSV
-)
-
-// ParseMerge resolves a -merge flag value ("auto", "tree", "sv").
-func ParseMerge(s string) (Merge, error) { return par.ParseMerge(s) }
 
 // The nine scalable binary test patterns of the paper's Figure 1.
 const (
@@ -426,15 +388,6 @@ type LabelOptions struct {
 	// FullRelabel relabels whole tiles after every merge instead of the
 	// paper's limited border-and-hooks updating.
 	FullRelabel bool
-	// Algo selects the strip labeling algorithm of the host-parallel
-	// backend (LabelParallel / ParallelEngine); the simulator ignores it.
-	// Default AlgoAuto: the run-based engine for both Binary and Grey.
-	Algo Algo
-	// Merge selects the border-merge backend of the host-parallel backend
-	// (LabelParallel / ParallelEngine); the simulator ignores it. Default
-	// MergeAuto: tree unites for sparse boundaries, Shiloach-Vishkin
-	// rounds when the measured boundary-edge density is high.
-	Merge Merge
 	// Metrics, when non-nil, receives the run's phase times and operation
 	// counters. Honored by LabelParallel; Simulator.Label instead uses the
 	// recorder installed with Simulator.SetObserver.
@@ -640,51 +593,48 @@ func LabelSequentialErr(im *Image, conn Connectivity, mode Mode) (*Labels, error
 }
 
 // LabelParallel labels the connected components of im on the host-parallel
-// engine: the paper's tile-BFS-plus-border-merge decomposition executed on
-// GOMAXPROCS worker goroutines for real wall-clock speedup, with border
-// merges resolved by a concurrent union-find instead of a simulated
-// message-passing machine. The labeling is pixel-for-pixel identical to
-// LabelSequential (and to Simulator.Label). Only Conn, Mode, Algo and
-// Merge of the options are honored — the remaining fields configure
-// simulator-only ablations. Safe for concurrent use.
+// engine: the paper's tile-labeling-plus-border-merge decomposition
+// executed on GOMAXPROCS worker goroutines for real wall-clock speedup,
+// with border merges resolved by a concurrent union-find instead of a
+// simulated message-passing machine. The labeling is pixel-for-pixel
+// identical to LabelSequential (and to Simulator.Label). Only Conn, Mode
+// and Metrics of the options are honored — the remaining fields configure
+// simulator-only ablations or, like Context, need an error path.
+// Malformed inputs panic; LabelParallelErr returns them as errors. Safe for
+// concurrent use.
 func LabelParallel(im *Image, opt LabelOptions) *Labels {
-	conn := opt.Conn
-	if conn == 0 {
-		conn = Conn8
+	l, err := par.Label(nil, opt.Metrics, im, connOf(opt), opt.Mode)
+	if err != nil {
+		// Invariant panic: trusted callers validate first; hostile inputs
+		// go through LabelParallelErr.
+		panic(err.Error())
 	}
-	if opt.Metrics != nil {
-		return par.LabelObserved(opt.Metrics, opt.Algo, opt.Merge, im, conn, opt.Mode)
-	}
-	return par.LabelWith(opt.Algo, opt.Merge, im, conn, opt.Mode)
+	return l
 }
 
 // LabelParallelErr is LabelParallel with typed validation instead of
-// panics: a malformed image (nil, wrong buffer length, side outside
-// (0, MaxSide]), an unknown connectivity or an unknown mode returns an
-// error from the taxonomy. In particular a side beyond MaxSide returns
-// ErrLabelOverflow — seed labels are 32-bit global indexes, so a larger
-// image would silently wrap and collide labels. Safe for concurrent use.
+// panics, bounded by opt.Context when it is set: a malformed image (nil,
+// wrong buffer length, side outside (0, MaxSide]), an unknown connectivity
+// or an unknown mode returns an error from the taxonomy. In particular a
+// side beyond MaxSide returns ErrLabelOverflow — seed labels are 32-bit
+// global indexes, so a larger image would silently wrap and collide
+// labels. Safe for concurrent use.
 func LabelParallelErr(im *Image, opt LabelOptions) (*Labels, error) {
-	conn := opt.Conn
-	if conn == 0 {
-		conn = Conn8
+	return par.Label(opt.Context, opt.Metrics, im, connOf(opt), opt.Mode)
+}
+
+// connOf resolves LabelOptions.Conn, whose zero value means Conn8.
+func connOf(opt LabelOptions) Connectivity {
+	if opt.Conn == 0 {
+		return Conn8
 	}
-	if opt.Context != nil {
-		if opt.Metrics != nil {
-			return par.LabelObservedContext(opt.Context, opt.Metrics, opt.Algo, opt.Merge, im, conn, opt.Mode)
-		}
-		return par.LabelContext(opt.Context, opt.Algo, opt.Merge, im, conn, opt.Mode)
-	}
-	if opt.Metrics != nil {
-		return par.LabelObservedErr(opt.Metrics, opt.Algo, opt.Merge, im, conn, opt.Mode)
-	}
-	return par.LabelWithErr(opt.Algo, opt.Merge, im, conn, opt.Mode)
+	return opt.Conn
 }
 
 // LabelContext is LabelParallelErr bounded by ctx (which takes precedence
 // over opt.Context): on cancellation or deadline expiry the workers stop at
-// their next checkpoint — between phases, per merge round, and every few
-// thousand pixels inside the strip loops — and the call returns an error
+// their next checkpoint — between phases, inside the seam resolution, and
+// every few rows inside the strip loops — and the call returns an error
 // wrapping ErrCanceled or ErrDeadline; no partial labeling is returned, and
 // the engine is immediately reusable. Safe for concurrent use.
 func LabelContext(ctx context.Context, im *Image, opt LabelOptions) (*Labels, error) {

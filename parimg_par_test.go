@@ -1,6 +1,9 @@
 package parimg
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestPublicParallelMatchesSequential checks the exported host-parallel
 // entry points against the exported sequential baseline: labelings must be
@@ -37,14 +40,18 @@ func TestPublicParallelMatchesSequential(t *testing.T) {
 }
 
 // TestPublicParallelEngineReuse drives the pinned-engine API through
-// LabelInto across sizes, verifying component counts against the labeling.
+// LabelIntoContext across sizes, verifying component counts against the
+// labeling.
 func TestPublicParallelEngineReuse(t *testing.T) {
 	eng := NewParallelEngine(4)
 	for i, n := range []int{32, 96, 64} {
 		im := RandomBinary(n, 0.6, uint64(i+1))
 		want := LabelSequential(im, Conn8, Binary)
 		out := NewLabels(n)
-		ncomp := eng.LabelInto(im, Conn8, Binary, out)
+		ncomp, err := eng.LabelIntoContext(context.Background(), im, Conn8, Binary, out)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ncomp != want.Components() {
 			t.Fatalf("n=%d: components = %d, want %d", n, ncomp, want.Components())
 		}
@@ -53,57 +60,5 @@ func TestPublicParallelEngineReuse(t *testing.T) {
 				t.Fatalf("n=%d: mismatch at %d", n, j)
 			}
 		}
-	}
-}
-
-// TestPublicAlgoOption drives every exported Algo through LabelParallel
-// and a pinned engine: all choices must reproduce the sequential labeling
-// exactly, including the grey-mode fallback from the run engine to BFS.
-func TestPublicAlgoOption(t *testing.T) {
-	im := GeneratePattern(DualSpiral, 96)
-	want := LabelSequential(im, Conn8, Binary)
-	for _, algo := range []Algo{AlgoAuto, AlgoBFS, AlgoRuns} {
-		got := LabelParallel(im, LabelOptions{Conn: Conn8, Algo: algo})
-		for i := range want.Lab {
-			if got.Lab[i] != want.Lab[i] {
-				t.Fatalf("algo=%v: label mismatch at pixel %d: got %d, want %d",
-					algo, i, got.Lab[i], want.Lab[i])
-			}
-		}
-
-		eng := NewParallelEngine(3)
-		eng.SetAlgo(algo)
-		out := NewLabels(96)
-		eng.LabelInto(im, Conn8, Binary, out)
-		for i := range want.Lab {
-			if out.Lab[i] != want.Lab[i] {
-				t.Fatalf("engine algo=%v: mismatch at pixel %d", algo, i)
-			}
-		}
-	}
-
-	// Grey mode with a forced run algorithm must fall back to BFS and
-	// still match the grey sequential reference.
-	grey := RandomGrey(64, 8, 9)
-	wantG := LabelSequential(grey, Conn8, Grey)
-	gotG := LabelParallel(grey, LabelOptions{Conn: Conn8, Mode: Grey, Algo: AlgoRuns})
-	for i := range wantG.Lab {
-		if gotG.Lab[i] != wantG.Lab[i] {
-			t.Fatalf("grey fallback: mismatch at pixel %d: got %d, want %d",
-				i, gotG.Lab[i], wantG.Lab[i])
-		}
-	}
-}
-
-// TestParseAlgoPublic checks the exported flag-value parser.
-func TestParseAlgoPublic(t *testing.T) {
-	for s, want := range map[string]Algo{"auto": AlgoAuto, "bfs": AlgoBFS, "runs": AlgoRuns} {
-		got, err := ParseAlgo(s)
-		if err != nil || got != want {
-			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseAlgo("nope"); err == nil {
-		t.Error("ParseAlgo(nope): want error")
 	}
 }
