@@ -21,11 +21,11 @@ import (
 func BenchmarkParallelCC(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{512, 1024} {
-		im := GeneratePattern(DualSpiral, n)
+		im := must(GeneratePattern(DualSpiral, n))
 		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
 				e := NewParallelEngine(w)
-				out := NewLabels(n)
+				out := must(NewLabels(n))
 				b.SetBytes(int64(n * n)) // MB/s column == MPix/s
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -41,8 +41,9 @@ func BenchmarkParallelCC(b *testing.B) {
 // BenchmarkParallelHistogram measures host-parallel histogram throughput
 // (k=256) against the single-worker anchor.
 func BenchmarkParallelHistogram(b *testing.B) {
+	ctx := context.Background()
 	for _, n := range []int{512, 1024} {
-		im := RandomGrey(n, 256, uint64(n))
+		im := must(RandomGrey(n, 256, uint64(n)))
 		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
 				e := NewParallelEngine(w)
@@ -50,7 +51,7 @@ func BenchmarkParallelHistogram(b *testing.B) {
 				b.SetBytes(int64(n * n))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := e.HistogramInto(im, h); err != nil {
+					if err := e.HistogramIntoContext(ctx, im, h); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -63,11 +64,13 @@ func BenchmarkParallelHistogram(b *testing.B) {
 // BenchmarkParallelCC.
 func BenchmarkSequentialCC(b *testing.B) {
 	for _, n := range []int{512, 1024} {
-		im := GeneratePattern(DualSpiral, n)
+		im := must(GeneratePattern(DualSpiral, n))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(n * n))
 			for i := 0; i < b.N; i++ {
-				LabelSequential(im, Conn8, Binary)
+				if _, err := LabelSequential(im, Conn8, Binary); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -78,18 +81,19 @@ func BenchmarkSequentialCC(b *testing.B) {
 // the sync.Pool scratch arena make every run after the first reuse the ~15
 // spread arrays and all per-processor scratch.
 func BenchmarkRepeatedLabel(b *testing.B) {
-	im := GeneratePattern(DualSpiral, 256)
+	im := must(GeneratePattern(DualSpiral, 256))
 	sim, err := NewSimulator(16, CM5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sim.Label(im, LabelOptions{}); err != nil {
+	ctx := context.Background()
+	if _, err := sim.Label(ctx, im, LabelOptions{}); err != nil {
 		b.Fatal(err) // warm the arena
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Label(im, LabelOptions{}); err != nil {
+		if _, err := sim.Label(ctx, im, LabelOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,18 +102,19 @@ func BenchmarkRepeatedLabel(b *testing.B) {
 // BenchmarkRepeatedHistogram is the histogramming analogue of
 // BenchmarkRepeatedLabel.
 func BenchmarkRepeatedHistogram(b *testing.B) {
-	im := RandomGrey(256, 256, 5)
+	im := must(RandomGrey(256, 256, 5))
 	sim, err := NewSimulator(16, CM5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sim.Histogram(im, 256); err != nil {
+	ctx := context.Background()
+	if _, err := sim.Histogram(ctx, im, 256); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Histogram(im, 256); err != nil {
+		if _, err := sim.Histogram(ctx, im, 256); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,11 +27,11 @@ import (
 func requireSimCleanAfterFault(t *testing.T, sim *Simulator, im *Image) {
 	t.Helper()
 	sim.m.SetFaultInjector(nil)
-	res, err := sim.Label(im, LabelOptions{})
+	res, err := sim.Label(context.Background(), im, LabelOptions{})
 	if err != nil {
 		t.Fatalf("clean sim run after fault: %v", err)
 	}
-	want := LabelSequential(im, Conn8, Binary)
+	want := must(LabelSequential(im, Conn8, Binary))
 	for i := range want.Lab {
 		if res.Labels.Lab[i] != want.Lab[i] {
 			t.Fatalf("pixel %d: sim label %d, want %d after aborted run", i, res.Labels.Lab[i], want.Lab[i])
@@ -43,11 +43,11 @@ func requireSimCleanAfterFault(t *testing.T, sim *Simulator, im *Image) {
 func requireParCleanAfterFault(t *testing.T, eng *ParallelEngine, im *Image) {
 	t.Helper()
 	eng.SetFaultInjector(nil)
-	got, err := LabelParallelErr(im, LabelOptions{})
+	got, err := Label(context.Background(), im, LabelOptions{})
 	if err != nil {
 		t.Fatalf("clean par run after fault: %v", err)
 	}
-	want := LabelSequential(im, Conn8, Binary)
+	want := must(LabelSequential(im, Conn8, Binary))
 	for i := range want.Lab {
 		if got.Lab[i] != want.Lab[i] {
 			t.Fatalf("pixel %d: par label %d, want %d after aborted run", i, got.Lab[i], want.Lab[i])
@@ -57,16 +57,17 @@ func requireParCleanAfterFault(t *testing.T, eng *ParallelEngine, im *Image) {
 
 func TestChaosMatrixSimulator(t *testing.T) {
 	leakcheck.Check(t)
-	im := GeneratePattern(DualSpiral, 64)
+	im := must(GeneratePattern(DualSpiral, 64))
 	sim, err := NewSimulator(4, CM5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sim.Close()
+	bg := context.Background()
 
 	t.Run("panic", func(t *testing.T) {
 		sim.m.SetFaultInjector(fault.New(1, fault.Panic, 1).At("sync").OnRank(1))
-		_, err := sim.Label(im, LabelOptions{})
+		_, err := sim.Label(bg, im, LabelOptions{})
 		if !errors.Is(err, ErrAborted) {
 			t.Fatalf("err = %v, want ErrAborted", err)
 		}
@@ -83,7 +84,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 		in := fault.New(1, fault.Delay, 1).At("sync").OnRank(0).OnRound(1).
 			WithDelay(2 * time.Millisecond)
 		sim.m.SetFaultInjector(in)
-		res, err := sim.Label(im, LabelOptions{})
+		res, err := sim.Label(bg, im, LabelOptions{})
 		sim.m.SetFaultInjector(nil)
 		if err != nil {
 			t.Fatalf("delay fault must not fail the run: %v", err)
@@ -91,7 +92,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 		if in.Injections() == 0 {
 			t.Error("delay fault never fired")
 		}
-		want := LabelSequential(im, Conn8, Binary)
+		want := must(LabelSequential(im, Conn8, Binary))
 		for i := range want.Lab {
 			if res.Labels.Lab[i] != want.Lab[i] {
 				t.Fatalf("pixel %d differs under delay fault", i)
@@ -106,7 +107,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 		sim.SetWatchdog(50 * time.Millisecond)
 		defer sim.SetWatchdog(0)
 		sim.m.SetFaultInjector(fault.New(1, fault.NoShow, 1).At("barrier").OnRank(2))
-		_, err := sim.Label(im, LabelOptions{})
+		_, err := sim.Label(bg, im, LabelOptions{})
 		if !errors.Is(err, ErrDeadline) {
 			t.Fatalf("err = %v, want ErrDeadline from the watchdog", err)
 		}
@@ -122,7 +123,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 		timer := time.AfterFunc(5*time.Millisecond, cancel)
 		defer timer.Stop()
 		defer cancel()
-		_, err := sim.LabelContext(ctx, im, LabelOptions{})
+		_, err := sim.Label(ctx, im, LabelOptions{})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
@@ -137,7 +138,7 @@ func TestChaosMatrixSimulator(t *testing.T) {
 			At("sync").OnRank(0).OnRound(1).WithDelay(50 * time.Millisecond))
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 		defer cancel()
-		_, err := sim.LabelContext(ctx, im, LabelOptions{})
+		_, err := sim.Label(ctx, im, LabelOptions{})
 		if !errors.Is(err, ErrDeadline) {
 			t.Fatalf("err = %v, want ErrDeadline", err)
 		}
@@ -151,12 +152,12 @@ func TestChaosMatrixSimulator(t *testing.T) {
 
 func TestChaosMatrixParallel(t *testing.T) {
 	leakcheck.Check(t)
-	im := GeneratePattern(DualSpiral, 64)
+	im := must(GeneratePattern(DualSpiral, 64))
 
 	t.Run("panic", func(t *testing.T) {
 		eng := NewParallelEngine(4)
 		eng.SetFaultInjector(fault.New(1, fault.Panic, 1).At("strip_label").OnRank(1))
-		out := NewLabels(im.N)
+		out := must(NewLabels(im.N))
 		_, err := eng.LabelIntoContext(context.Background(), im, Conn8, Binary, out)
 		if !errors.Is(err, ErrAborted) {
 			t.Fatalf("err = %v, want ErrAborted", err)
@@ -173,14 +174,14 @@ func TestChaosMatrixParallel(t *testing.T) {
 		in := fault.New(1, fault.Delay, 1).At("strip_label").OnRank(0).
 			WithDelay(2 * time.Millisecond)
 		eng.SetFaultInjector(in)
-		out := NewLabels(im.N)
+		out := must(NewLabels(im.N))
 		if _, err := eng.LabelIntoContext(context.Background(), im, Conn8, Binary, out); err != nil {
 			t.Fatalf("delay fault must not fail the run: %v", err)
 		}
 		if in.Injections() == 0 {
 			t.Error("delay fault never fired")
 		}
-		want := LabelSequential(im, Conn8, Binary)
+		want := must(LabelSequential(im, Conn8, Binary))
 		for i := range want.Lab {
 			if out.Lab[i] != want.Lab[i] {
 				t.Fatalf("pixel %d differs under delay fault", i)
@@ -195,7 +196,7 @@ func TestChaosMatrixParallel(t *testing.T) {
 		eng.SetFaultInjector(fault.New(1, fault.NoShow, 1).At("strip_label").OnRank(2))
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		defer cancel()
-		out := NewLabels(im.N)
+		out := must(NewLabels(im.N))
 		if _, err := eng.LabelIntoContext(ctx, im, Conn8, Binary, out); !errors.Is(err, ErrDeadline) {
 			t.Fatalf("err = %v, want ErrDeadline", err)
 		}
@@ -210,7 +211,7 @@ func TestChaosMatrixParallel(t *testing.T) {
 		timer := time.AfterFunc(5*time.Millisecond, cancel)
 		defer timer.Stop()
 		defer cancel()
-		out := NewLabels(im.N)
+		out := must(NewLabels(im.N))
 		_, err := eng.LabelIntoContext(ctx, im, Conn8, Binary, out)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
@@ -224,7 +225,7 @@ func TestChaosMatrixParallel(t *testing.T) {
 			At("strip_label").OnRank(0).WithDelay(50 * time.Millisecond))
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 		defer cancel()
-		out := NewLabels(im.N)
+		out := must(NewLabels(im.N))
 		_, err := eng.LabelIntoContext(ctx, im, Conn8, Binary, out)
 		if !errors.Is(err, ErrDeadline) {
 			t.Fatalf("err = %v, want ErrDeadline", err)
@@ -244,8 +245,8 @@ func TestChaosMatrixParallel(t *testing.T) {
 // one request, never the process or the pool.
 func TestChaosMatrixServer(t *testing.T) {
 	leakcheck.Check(t)
-	im := GeneratePattern(DualSpiral, 64)
-	want := LabelSequential(im, Conn8, Binary)
+	im := must(GeneratePattern(DualSpiral, 64))
+	want := must(LabelSequential(im, Conn8, Binary))
 	// One runner, two strip workers (the fault sites only exist on
 	// multi-worker engines), oversubscribed so the config passes the core
 	// budget policy on any host.
@@ -340,7 +341,7 @@ func TestChaosMatrixServer(t *testing.T) {
 // resumed output compared byte for byte against an uninterrupted run.
 func TestChaosMatrixStream(t *testing.T) {
 	leakcheck.Check(t)
-	im := GeneratePattern(DualSpiral, 64)
+	im := must(GeneratePattern(DualSpiral, 64))
 	var pgm bytes.Buffer
 	fmt.Fprintf(&pgm, "P5\n%d %d\n255\n", im.N, im.N)
 	for _, v := range im.Pix {
@@ -430,28 +431,25 @@ func TestChaosMatrixStream(t *testing.T) {
 // on both backends, without running any labeling work.
 func TestLabelContextThroughPublicAPI(t *testing.T) {
 	leakcheck.Check(t)
-	im := GeneratePattern(Cross, 64)
+	im := must(GeneratePattern(Cross, 64))
+	grey := must(RandomGrey(64, 16, 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := LabelContext(ctx, im, LabelOptions{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("LabelContext: err = %v, want ErrCanceled", err)
+	if _, err := Label(ctx, im, LabelOptions{}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Label: err = %v, want ErrCanceled", err)
 	}
-	if _, err := HistogramContext(ctx, RandomGrey(64, 16, 1), 16); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("HistogramContext: err = %v, want ErrCanceled", err)
+	if _, err := Histogram(ctx, grey, 16); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Histogram: err = %v, want ErrCanceled", err)
 	}
 	sim, err := NewSimulator(4, CM5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	if _, err := sim.LabelContext(ctx, im, LabelOptions{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Simulator.LabelContext: err = %v, want ErrCanceled", err)
+	if _, err := sim.Label(ctx, im, LabelOptions{}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Simulator.Label: err = %v, want ErrCanceled", err)
 	}
-	if _, err := sim.HistogramContext(ctx, RandomGrey(64, 16, 1), 16); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Simulator.HistogramContext: err = %v, want ErrCanceled", err)
-	}
-	// LabelOptions.Context is the same contract spelled as an option.
-	if _, err := LabelParallelErr(im, LabelOptions{Context: ctx}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("LabelParallelErr with canceled Context: err = %v, want ErrCanceled", err)
+	if _, err := sim.Histogram(ctx, grey, 16); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Simulator.Histogram: err = %v, want ErrCanceled", err)
 	}
 }

@@ -76,7 +76,11 @@ func run() error {
 	var inputs []input
 	for _, n := range []int{512, 1024} {
 		for _, id := range parimg.AllPatterns() {
-			inputs = append(inputs, input{id.String(), parimg.GeneratePattern(id, n)})
+			im, err := parimg.GeneratePattern(id, n)
+			if err != nil {
+				return err
+			}
+			inputs = append(inputs, input{id.String(), im})
 		}
 	}
 	inputs = append(inputs, input{"darpa", parimg.DARPAImage()})
@@ -97,7 +101,10 @@ func run() error {
 			}
 			n := in.im.N
 			pix := float64(n * n)
-			want := parimg.LabelSequential(in.im, parimg.Conn8, mode)
+			want, err := parimg.LabelSequential(in.im, parimg.Conn8, mode)
+			if err != nil {
+				return err
+			}
 
 			record := func(backend string, w int, ns int64, got *parimg.Labels, comps int) {
 				agree := true
@@ -120,14 +127,20 @@ func run() error {
 			// Sequential baseline (backend seq, the paper's Section 5.1 BFS).
 			{
 				var l *parimg.Labels
-				ns := best(*minTime, func() { l = parimg.LabelSequential(in.im, parimg.Conn8, mode) })
+				ns := best(*minTime, func() { l, err = parimg.LabelSequential(in.im, parimg.Conn8, mode) })
+				if err != nil {
+					return err
+				}
 				record("seq", 1, ns, l, l.Components())
 			}
 
 			// Host-parallel run engine at each worker count.
 			for _, w := range workerCounts {
 				eng := parimg.NewParallelEngine(w)
-				got := parimg.NewLabels(n)
+				got, err := parimg.NewLabels(n)
+				if err != nil {
+					return err
+				}
 				var comps int
 				var runErr error
 				ns := best(*minTime, func() {

@@ -51,7 +51,10 @@ func main() {
 		fail(err)
 	}
 	for _, id := range parimg.AllPatterns() {
-		im := parimg.GeneratePattern(id, *n)
+		im, err := parimg.GeneratePattern(id, *n)
+		if err != nil {
+			fail(err)
+		}
 		name := fmt.Sprintf("%s_%d.pgm", id, *n)
 		if err := writePGM(filepath.Join(*out, name), im, 1); err != nil {
 			fail(err)
@@ -85,8 +88,14 @@ func writeLabelViz(dir, name string, im *parimg.Image) error {
 	if im.MaxGrey() > 1 {
 		mode = parimg.Grey
 	}
-	lab := parimg.LabelSequential(im, parimg.Conn8, mode)
-	viz := parimg.NewImage(im.N)
+	lab, err := parimg.LabelSequential(im, parimg.Conn8, mode)
+	if err != nil {
+		return err
+	}
+	viz, err := parimg.NewImage(im.N)
+	if err != nil {
+		return err
+	}
 	for i, l := range lab.Lab {
 		if l != 0 {
 			// Spread labels over 64..255 so neighbors differ.

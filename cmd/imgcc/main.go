@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -83,7 +84,6 @@ func run() error {
 		DirectDistribution: *direct,
 		NoShadowManager:    *noShadow,
 		FullRelabel:        *fullRelabel,
-		Context:            ctx,
 	}
 	if *grey {
 		opt0.Mode = parimg.Grey
@@ -92,7 +92,7 @@ func run() error {
 	case "sim":
 		// fall through to the simulator below
 	case "par", "seq":
-		return runHost(*backend, im, opt0, *workers, *top,
+		return runHost(ctx, *backend, im, opt0, *workers, *top,
 			*metricsPath, cli.ImageName(*patternName, *darpa, *inFile))
 	default:
 		return fmt.Errorf("unknown backend %q (want sim, par or seq)", *backend)
@@ -107,13 +107,13 @@ func run() error {
 	}
 	opt := opt0
 	if *compare {
-		return compareAlgorithms(sim, im, opt, spec.Name, *p)
+		return compareAlgorithms(ctx, sim, im, opt, spec.Name, *p)
 	}
 	rec := parimg.NewMetricsRecorder()
 	if *metricsPath != "" {
 		sim.SetObserver(rec)
 	}
-	res, err := sim.Label(im, opt)
+	res, err := sim.Label(ctx, im, opt)
 	if err != nil {
 		return err
 	}
@@ -148,9 +148,12 @@ func run() error {
 // simulator's modeled costs. The labels buffer is allocated before the
 // timed region, so the wall time (and metrics TotalNS) covers exactly the
 // labeling work the recorded phases decompose.
-func runHost(backend string, im *parimg.Image, opt parimg.LabelOptions,
+func runHost(ctx context.Context, backend string, im *parimg.Image, opt parimg.LabelOptions,
 	workers, top int, metricsPath, imageName string) error {
-	labels := parimg.NewLabels(im.N)
+	labels, err := parimg.NewLabels(im.N)
+	if err != nil {
+		return err
+	}
 	rec := parimg.NewMetricsRecorder()
 	var elapsed time.Duration
 	if backend == "par" {
@@ -160,7 +163,7 @@ func runHost(backend string, im *parimg.Image, opt parimg.LabelOptions,
 			eng.SetObserver(rec)
 		}
 		start := time.Now()
-		_, err := eng.LabelIntoContext(opt.Context, im, connOf(opt), opt.Mode, labels)
+		_, err := eng.LabelIntoContext(ctx, im, connOf(opt), opt.Mode, labels)
 		elapsed = time.Since(start)
 		if err != nil {
 			return err
@@ -170,8 +173,7 @@ func runHost(backend string, im *parimg.Image, opt parimg.LabelOptions,
 		fmt.Printf("%d connected components, wall time %v\n", labels.Components(), elapsed)
 	} else {
 		start := time.Now()
-		var err error
-		labels, err = parimg.LabelSequentialErr(im, connOf(opt), opt.Mode)
+		labels, err = parimg.LabelSequential(im, connOf(opt), opt.Mode)
 		elapsed = time.Since(start)
 		if err != nil {
 			return err
@@ -233,13 +235,13 @@ func printTop(labels *parimg.Labels, top int) {
 // compareAlgorithms runs the paper's merge algorithm and the two baselines
 // (label diffusion and pointer jumping) on the same input, verifies they
 // agree, and prints a comparison table.
-func compareAlgorithms(sim *parimg.Simulator, im *parimg.Image, opt parimg.LabelOptions, machineName string, p int) error {
+func compareAlgorithms(ctx context.Context, sim *parimg.Simulator, im *parimg.Image, opt parimg.LabelOptions, machineName string, p int) error {
 	type row struct {
 		name string
 		run  func() (*parimg.CCResult, error)
 	}
 	rows := []row{
-		{"merge (this paper)", func() (*parimg.CCResult, error) { return sim.Label(im, opt) }},
+		{"merge (this paper)", func() (*parimg.CCResult, error) { return sim.Label(ctx, im, opt) }},
 		{"label diffusion", func() (*parimg.CCResult, error) { return sim.LabelByPropagation(im, opt) }},
 		{"pointer jumping", func() (*parimg.CCResult, error) { return sim.LabelByPointerJumping(im, opt) }},
 	}
@@ -282,13 +284,13 @@ func loadImage(pattern string, density float64, darpa bool, inFile string, n int
 	case pattern != "":
 		for _, id := range parimg.AllPatterns() {
 			if id.String() == pattern {
-				return parimg.GeneratePatternErr(id, n)
+				return parimg.GeneratePattern(id, n)
 			}
 		}
 		return nil, fmt.Errorf("unknown pattern %q (try dual-spiral, filled-disc, cross, ...)", pattern)
 	case density >= 0:
-		return parimg.RandomBinaryErr(n, density, seed)
+		return parimg.RandomBinary(n, density, seed)
 	default:
-		return parimg.RandomBinaryErr(n, 0.5, seed)
+		return parimg.RandomBinary(n, 0.5, seed)
 	}
 }

@@ -1,8 +1,8 @@
 // Command imgccd is the labeling-as-a-service daemon: a long-lived HTTP
 // server that accepts PGM images and returns their connected-component
 // labelings (as JSON label arrays, per-component census statistics, or a
-// densely renumbered PGM), built on the pooled-engine work-stealing
-// runtime of internal/serve.
+// densely renumbered PGM), built on the pooled-engine runtime of
+// internal/serve, whose runners share one bounded FIFO queue.
 //
 // Endpoints:
 //

@@ -78,7 +78,7 @@ func run() error {
 	if *metricsPath != "" {
 		sim.SetObserver(rec)
 	}
-	res, err := sim.HistogramContext(ctx, im, *k)
+	res, err := sim.Histogram(ctx, im, *k)
 	if err != nil {
 		return err
 	}
@@ -179,15 +179,15 @@ func loadImage(pattern string, density float64, grey, darpa bool, inFile string,
 	case pattern != "":
 		for _, id := range parimg.AllPatterns() {
 			if id.String() == pattern {
-				return parimg.GeneratePatternErr(id, n)
+				return parimg.GeneratePattern(id, n)
 			}
 		}
 		return nil, fmt.Errorf("unknown pattern %q (try dual-spiral, filled-disc, cross, ...)", pattern)
 	case density >= 0:
-		return parimg.RandomBinaryErr(n, density, seed)
+		return parimg.RandomBinary(n, density, seed)
 	case grey:
-		return parimg.RandomGreyErr(n, k, seed)
+		return parimg.RandomGrey(n, k, seed)
 	default:
-		return parimg.RandomGreyErr(n, k, seed)
+		return parimg.RandomGrey(n, k, seed)
 	}
 }

@@ -76,7 +76,11 @@ type input struct {
 func inputs(n int) []input {
 	var ins []input
 	for _, id := range parimg.AllPatterns() {
-		ins = append(ins, input{id.String(), parimg.GeneratePattern(id, n), parimg.Binary})
+		im, err := parimg.GeneratePattern(id, n)
+		if err != nil {
+			fatal(err)
+		}
+		ins = append(ins, input{id.String(), im, parimg.Binary})
 	}
 	ins = append(ins, input{"darpa", parimg.DARPAImage(), parimg.Grey})
 	return ins
@@ -151,7 +155,7 @@ func simMetrics(spec parimg.MachineSpec, p int, in input) *parimg.Metrics {
 	}
 	rec := parimg.NewMetricsRecorder()
 	sim.SetObserver(rec)
-	res, err := sim.Label(in.im, parimg.LabelOptions{Conn: parimg.Conn8, Mode: in.mode})
+	res, err := sim.Label(context.Background(), in.im, parimg.LabelOptions{Conn: parimg.Conn8, Mode: in.mode})
 	if err != nil {
 		fatal(err)
 	}
@@ -166,7 +170,10 @@ func parMetrics(in input, W int) *parimg.Metrics {
 	eng := parimg.NewParallelEngine(W)
 	rec := parimg.NewMetricsRecorder()
 	eng.SetObserver(rec)
-	labels := parimg.NewLabels(in.im.N)
+	labels, err := parimg.NewLabels(in.im.N)
+	if err != nil {
+		fatal(err)
+	}
 	start := time.Now()
 	if _, err := eng.LabelIntoContext(context.Background(), in.im, parimg.Conn8, in.mode, labels); err != nil {
 		fatal(err)

@@ -27,22 +27,76 @@ func TestGodocCoverage(t *testing.T) {
 	var missing []string
 	fset := token.NewFileSet()
 	for _, dir := range godocPackages {
-		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				for _, decl := range f.Decls {
-					missing = append(missing, undocumented(fset, decl)...)
-				}
-			}
+		for _, decl := range parseDecls(t, fset, dir) {
+			missing = append(missing, undocumented(fset, decl)...)
 		}
 	}
 	for _, m := range missing {
 		t.Errorf("undocumented export: %s", m)
+	}
+}
+
+// parseDecls returns the top-level declarations of the non-test files in
+// dir.
+func parseDecls(t *testing.T, fset *token.FileSet, dir string) []ast.Decl {
+	t.Helper()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		t.Fatalf("%s: %v", dir, err)
+	}
+	var decls []ast.Decl
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			decls = append(decls, f.Decls...)
+		}
+	}
+	return decls
+}
+
+// TestReadmeNamesExist fails when a fenced Go block in README.md refers to
+// parimg.X and X is not an exported top-level identifier of the root
+// package, so a snippet cannot keep calling an entry point that was
+// renamed or deleted.
+func TestReadmeNamesExist(t *testing.T) {
+	exported := map[string]bool{}
+	add := func(id *ast.Ident) { exported[id.Name] = id.IsExported() }
+	for _, decl := range parseDecls(t, token.NewFileSet(), ".") {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					add(s.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						add(n)
+					}
+				}
+			}
+		}
+	}
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := regexp.MustCompile("(?s)```go\n(.*?)```")
+	ref := regexp.MustCompile(`\bparimg\.(\w+)`)
+	blocks := block.FindAllStringSubmatch(string(data), -1)
+	if len(blocks) == 0 {
+		t.Fatal("README.md has no fenced Go blocks")
+	}
+	for _, b := range blocks {
+		for _, m := range ref.FindAllStringSubmatch(b[1], -1) {
+			if !exported[m[1]] {
+				t.Errorf("README.md Go block uses parimg.%s, which the root package does not export", m[1])
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package parimg_test
 
 import (
+	"context"
 	"fmt"
 
 	"parimg"
@@ -9,17 +10,25 @@ import (
 // Example labels the four-squares catalog image on a simulated 16-processor
 // CM-5 and prints the component census.
 func Example() {
-	im := parimg.GeneratePattern(parimg.FourSquares, 64)
+	ctx := context.Background()
+	im, err := parimg.GeneratePattern(parimg.FourSquares, 64)
+	if err != nil {
+		panic(err)
+	}
 	sim, err := parimg.NewSimulator(16, parimg.CM5)
 	if err != nil {
 		panic(err)
 	}
-	res, err := sim.Label(im, parimg.LabelOptions{})
+	res, err := sim.Label(ctx, im, parimg.LabelOptions{})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("components:", res.Components)
-	for _, s := range parimg.Census(res.Labels, im) {
+	stats, err := parimg.Census(res.Labels, im)
+	if err != nil {
+		panic(err)
+	}
+	for _, s := range stats {
 		fmt.Printf("label %d: %d pixels\n", s.Label, s.Size)
 	}
 	// Output:
@@ -33,12 +42,15 @@ func Example() {
 // ExampleSimulator_Histogram computes a histogram and checks the paper's
 // correctness invariant, sum H[i] = n^2.
 func ExampleSimulator_Histogram() {
-	im := parimg.GeneratePattern(parimg.Cross, 64)
+	im, err := parimg.GeneratePattern(parimg.Cross, 64)
+	if err != nil {
+		panic(err)
+	}
 	sim, err := parimg.NewSimulator(4, parimg.SP2)
 	if err != nil {
 		panic(err)
 	}
-	res, err := sim.Histogram(im, 2)
+	res, err := sim.Histogram(context.Background(), im, 2)
 	if err != nil {
 		panic(err)
 	}
@@ -54,15 +66,19 @@ func ExampleSimulator_Histogram() {
 // ExampleSimulator_Label shows connectivity semantics: diagonal contacts
 // join components under 8-connectivity only.
 func ExampleSimulator_Label() {
-	im := parimg.NewImage(8)
+	ctx := context.Background()
+	im, err := parimg.NewImage(8)
+	if err != nil {
+		panic(err)
+	}
 	im.Set(1, 1, 1)
 	im.Set(2, 2, 1) // diagonal neighbor
 	sim, err := parimg.NewSimulator(4, parimg.CM5)
 	if err != nil {
 		panic(err)
 	}
-	r8, _ := sim.Label(im, parimg.LabelOptions{Conn: parimg.Conn8})
-	r4, _ := sim.Label(im, parimg.LabelOptions{Conn: parimg.Conn4})
+	r8, _ := sim.Label(ctx, im, parimg.LabelOptions{Conn: parimg.Conn8})
+	r4, _ := sim.Label(ctx, im, parimg.LabelOptions{Conn: parimg.Conn4})
 	fmt.Println("8-connectivity:", r8.Components)
 	fmt.Println("4-connectivity:", r4.Components)
 	// Output:
@@ -76,12 +92,18 @@ func ExampleSimulator_Label() {
 // is stable across worker counts; phase wall times vary per host and are
 // only checked for presence.
 func ExampleLabelOptions() {
-	im := parimg.GeneratePattern(parimg.FourSquares, 64)
+	im, err := parimg.GeneratePattern(parimg.FourSquares, 64)
+	if err != nil {
+		panic(err)
+	}
 	rec := parimg.NewMetricsRecorder()
-	labels := parimg.LabelParallel(im, parimg.LabelOptions{
+	labels, err := parimg.Label(context.Background(), im, parimg.LabelOptions{
 		Conn:    parimg.Conn8,
 		Metrics: rec,
 	})
+	if err != nil {
+		panic(err)
+	}
 	m := rec.Snapshot()
 	fmt.Println("components:", labels.Components())
 	fmt.Println("phases recorded:", len(m.Phases) > 0)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -27,11 +28,12 @@ func main() {
 		}
 	}
 
+	ctx := context.Background()
 	sim, err := parimg.NewSimulator(32, parimg.SP2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sim.Histogram(im, k)
+	res, err := sim.Histogram(ctx, im, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,11 +46,14 @@ func main() {
 	for g := 1; g < k; g++ {
 		fg += res.H[g]
 	}
-	out := parimg.Equalize(im, res.H)
+	out, err := parimg.Equalize(im, res.H)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Re-histogram the equalized image (parallel again) and compare
 	// spread: the occupied range should stretch across the full scale.
-	res2, err := sim.Histogram(out, k)
+	res2, err := sim.Histogram(ctx, out, k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -35,7 +36,10 @@ func main() {
 
 		// Spins as grey levels: +1 -> 1, -1 -> 2. Grey-mode
 		// components are exactly the like-spin clusters.
-		im := parimg.NewImage(n)
+		im, err := parimg.NewImage(n)
+		if err != nil {
+			log.Fatal(err)
+		}
 		mag := 0
 		for i, s := range spins {
 			mag += s
@@ -45,7 +49,7 @@ func main() {
 				im.Pix[i] = 2
 			}
 		}
-		res, err := sim.Label(im, parimg.LabelOptions{Conn: parimg.Conn4, Mode: parimg.Grey})
+		res, err := sim.Label(context.Background(), im, parimg.LabelOptions{Conn: parimg.Conn4, Mode: parimg.Grey})
 		if err != nil {
 			log.Fatal(err)
 		}

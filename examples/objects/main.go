@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sim.Label(im, parimg.LabelOptions{
+	res, err := sim.Label(context.Background(), im, parimg.LabelOptions{
 		Conn: parimg.Conn8,
 		Mode: parimg.Grey,
 	})
@@ -39,7 +40,10 @@ func main() {
 	}
 	fmt.Printf("parallel census in %.3g simulated s\n\n", census.Report.SimTime)
 
-	objs := parimg.ClassifyObjects(res.Labels, im)
+	objs, err := parimg.ClassifyObjects(res.Labels, im)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%4s  %-9s  %7s  %-17s  %-14s  %5s\n",
 		"#", "class", "pixels", "bbox (r0,c0-r1,c1)", "centroid", "grey")
 	for i, o := range objs {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,8 +32,11 @@ func main() {
 		var clusters, spanning int
 		var largestFrac, simTime float64
 		for run := 0; run < runs; run++ {
-			im := parimg.RandomBinary(n, density, uint64(run)*7919+uint64(density*1e4))
-			res, err := sim.Label(im, parimg.LabelOptions{Conn: parimg.Conn4})
+			im, err := parimg.RandomBinary(n, density, uint64(run)*7919+uint64(density*1e4))
+			if err != nil {
+				log.Fatal(err)
+			}
+			res, err := sim.Label(context.Background(), im, parimg.LabelOptions{Conn: parimg.Conn4})
 			if err != nil {
 				log.Fatal(err)
 			}

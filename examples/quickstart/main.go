@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,15 +15,19 @@ import (
 func main() {
 	// One of the paper's nine scalable test patterns: concentric
 	// circles with thickness (Figure 1, image 7).
-	im := parimg.GeneratePattern(parimg.ConcentricCircles, 512)
+	im, err := parimg.GeneratePattern(parimg.ConcentricCircles, 512)
+	if err != nil {
+		log.Fatal(err)
+	}
 
+	ctx := context.Background()
 	sim, err := parimg.NewSimulator(32, parimg.CM5)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Histogramming (Section 4 of the paper).
-	h, err := sim.Histogram(im, 2)
+	h, err := sim.Histogram(ctx, im, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +37,7 @@ func main() {
 		h.Report.SimTime, h.Report.Cost.Name, h.Report.CompTime, h.Report.CommTime)
 
 	// Connected components (Section 5).
-	res, err := sim.Label(im, parimg.LabelOptions{Conn: parimg.Conn8})
+	res, err := sim.Label(ctx, im, parimg.LabelOptions{Conn: parimg.Conn8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +48,10 @@ func main() {
 
 	// The parallel labeling is canonical: it equals the sequential
 	// row-major BFS labeling exactly.
-	want := parimg.LabelSequential(im, parimg.Conn8, parimg.Binary)
+	want, err := parimg.LabelSequential(im, parimg.Conn8, parimg.Binary)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i := range want.Lab {
 		if res.Labels.Lab[i] != want.Lab[i] {
 			log.Fatalf("parallel and sequential labels differ at pixel %d", i)

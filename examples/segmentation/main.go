@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,13 +24,14 @@ func main() {
 		}
 	}
 
+	ctx := context.Background()
 	sim, err := parimg.NewSimulator(32, parimg.CM5)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Stage 1: parallel histogram and automatic threshold.
-	h, err := sim.Histogram(im, 256)
+	h, err := sim.Histogram(ctx, im, 256)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,8 +40,11 @@ func main() {
 		h.Report.SimTime, t)
 
 	// Stage 2: binarize and label in parallel.
-	bin := parimg.Threshold(im, uint32(t))
-	res, err := sim.Label(bin, parimg.LabelOptions{Conn: parimg.Conn8})
+	bin, err := parimg.Threshold(im, uint32(t))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sim.Label(ctx, bin, parimg.LabelOptions{Conn: parimg.Conn8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +52,10 @@ func main() {
 		res.Report.SimTime, res.Components)
 
 	// Stage 3: census of the segments.
-	stats := parimg.Census(res.Labels, im)
+	stats, err := parimg.Census(res.Labels, im)
+	if err != nil {
+		log.Fatal(err)
+	}
 	big := 0
 	for _, s := range stats {
 		if s.Size >= 64 {

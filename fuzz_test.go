@@ -41,10 +41,11 @@ func FuzzReadPGM(f *testing.F) {
 }
 
 // FuzzPublicAPI drives the whole public surface — image construction,
-// histogramming and labeling on the seq, par and sim backends — with
-// arbitrary parameters. Every call must return a typed error or a correct
-// result; when a backend accepts the input, its labeling must be
-// pixel-identical to the sequential baseline.
+// histogramming, labeling on the seq, par and sim backends, and the census,
+// threshold, classification and equalization steps — with arbitrary
+// parameters. Every call must return a typed error or a correct result;
+// when a backend accepts the input, its labeling must be pixel-identical to
+// the sequential baseline.
 //
 // Parameters are plain ints so corpus entries stay hand-writable. The sixth
 // parameter once chose a host-parallel algorithm and merge backend; it is
@@ -63,37 +64,40 @@ func FuzzPublicAPI(f *testing.F) {
 	f.Add(32, 4, 16, 8, 1, 1, uint64(11))      // canceled-context leg, grey mode
 	f.Fuzz(func(t *testing.T, n, p, k, conn, mode, _ int, seed uint64) {
 		var im *Image
+		wrongSide := 1 // differs from every hostile N, which lies outside 1..64
 		if n >= 1 && n <= 64 {
-			im = RandomGrey(n, 4, seed)
+			im = must(RandomGrey(n, 4, seed))
+			wrongSide = n%64 + 1
 		} else {
 			// Hostile struct: arbitrary N with no backing pixels. Every
 			// entry point must reject it, not index into it.
 			im = &Image{N: n}
 		}
 		opt := LabelOptions{Conn: Connectivity(conn), Mode: Mode(mode)}
+		ctx := context.Background()
 
 		// Canceled-context leg: however hostile the rest of the input, a
 		// pre-canceled context must yield a typed error — either the
 		// cancellation itself or the input rejection that beat it to the
 		// boundary — and never a panic or a nil-error result.
-		canceledCtx, cancel := context.WithCancel(context.Background())
+		canceledCtx, cancel := context.WithCancel(ctx)
 		cancel()
-		if _, err := LabelContext(canceledCtx, im, opt); err == nil {
-			t.Fatal("LabelContext accepted a pre-canceled context")
+		if _, err := Label(canceledCtx, im, opt); err == nil {
+			t.Fatal("Label accepted a pre-canceled context")
 		} else if !errors.Is(err, ErrCanceled) && !errors.Is(err, ErrBadInput) {
-			t.Fatalf("LabelContext(canceled): error %q is outside the taxonomy", err)
+			t.Fatalf("Label(canceled): error %q is outside the taxonomy", err)
 		}
-		if _, err := HistogramContext(canceledCtx, im, k); err == nil {
-			t.Fatal("HistogramContext accepted a pre-canceled context")
+		if _, err := Histogram(canceledCtx, im, k); err == nil {
+			t.Fatal("Histogram accepted a pre-canceled context")
 		} else if !errors.Is(err, ErrCanceled) && !errors.Is(err, ErrBadInput) {
-			t.Fatalf("HistogramContext(canceled): error %q is outside the taxonomy", err)
+			t.Fatalf("Histogram(canceled): error %q is outside the taxonomy", err)
 		}
 
-		seqLabels, seqErr := LabelSequentialErr(im, opt.Conn, opt.Mode)
-		checkTyped(t, "LabelSequentialErr", seqErr)
+		seqLabels, seqErr := LabelSequential(im, opt.Conn, opt.Mode)
+		checkTyped(t, "LabelSequential", seqErr)
 
-		parLabels, parErr := LabelParallelErr(im, opt)
-		checkTyped(t, "LabelParallelErr", parErr)
+		parLabels, parErr := Label(ctx, im, opt)
+		checkTyped(t, "Label", parErr)
 		// Conn 0 means "default to Conn8" on the parallel path only, so
 		// error parity is asserted for explicitly-set connectivity.
 		if conn != 0 && mode == 0 {
@@ -105,11 +109,50 @@ func FuzzPublicAPI(f *testing.F) {
 			comparePixels(t, "par", seqLabels, parLabels)
 		}
 
-		if _, err := HistogramSequential(im, k); err != nil {
-			checkTyped(t, "HistogramSequential", err)
+		h, err := HistogramSequential(im, k)
+		checkTyped(t, "HistogramSequential", err)
+		if _, err := Histogram(ctx, im, k); err != nil {
+			checkTyped(t, "Histogram", err)
 		}
-		if _, err := HistogramParallel(im, k); err != nil {
-			checkTyped(t, "HistogramParallel", err)
+
+		// The post-labeling steps, on the image's own labeling (nil when
+		// the image was rejected) and on a labeling of the wrong side.
+		wrong := must(NewLabels(wrongSide))
+		for _, l := range []*Labels{seqLabels, wrong} {
+			stats, censusErr := Census(l, im)
+			checkTyped(t, "Census", censusErr)
+			objs, err := ClassifyObjects(l, im)
+			checkTyped(t, "ClassifyObjects", err)
+			switch {
+			case (censusErr == nil) != (err == nil):
+				t.Fatalf("Census and ClassifyObjects disagree: %v vs %v", censusErr, err)
+			case l == wrong && err == nil:
+				t.Fatalf("a %d-side labeling of a %d-side image was accepted", wrongSide, n)
+			case l == seqLabels && seqErr == nil && err != nil:
+				t.Fatalf("the image's own labeling was rejected: %v", err)
+			case err == nil && len(objs) != len(stats):
+				t.Fatalf("ClassifyObjects: %d objects for %d components", len(objs), len(stats))
+			}
+		}
+		if out, err := Threshold(im, uint32(k)); err != nil {
+			checkTyped(t, "Threshold", err)
+		} else if out.N != n {
+			t.Fatalf("Threshold: side %d, want %d", out.N, n)
+		}
+		// Equalize against the image's own histogram when k held it, which
+		// must succeed, else against an arbitrary short one whose levels
+		// the image may exceed.
+		own := h != nil
+		if !own {
+			h = make([]int64, seed%8)
+		}
+		out, err := Equalize(im, h)
+		checkTyped(t, "Equalize", err)
+		if own && err != nil {
+			t.Fatalf("Equalize rejected the image's own histogram: %v", err)
+		}
+		if err == nil && out.N != n {
+			t.Fatalf("Equalize: side %d, want %d", out.N, n)
 		}
 
 		sim, err := NewSimulator(p, CM5)
@@ -117,12 +160,12 @@ func FuzzPublicAPI(f *testing.F) {
 			checkTyped(t, "NewSimulator", err)
 			return
 		}
-		res, err := sim.Label(im, opt)
+		res, err := sim.Label(ctx, im, opt)
 		checkTyped(t, "Simulator.Label", err)
 		if err == nil && seqErr == nil && conn != 0 {
 			comparePixels(t, "sim", seqLabels, res.Labels)
 		}
-		if _, err := sim.Histogram(im, k); err != nil {
+		if _, err := sim.Histogram(ctx, im, k); err != nil {
 			checkTyped(t, "Simulator.Histogram", err)
 		}
 	})
@@ -158,6 +201,7 @@ func TestNoPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	oversized := &Image{N: MaxSide + 1}
 	ragged := &Image{N: 8, Pix: make([]uint32, 3)}
 	hotGrey := &Image{N: 2, Pix: []uint32{0, 1, 1 << 30, 1}}
@@ -167,29 +211,33 @@ func TestNoPanic(t *testing.T) {
 	}{
 		{"ReadPGM/garbage", func() error { _, err := ReadPGM(strings.NewReader("P5\n\xff\xff")); return err }},
 		{"ReadPGM/huge header", func() error { _, err := ReadPGM(strings.NewReader("P5\n1000000 1000000\n255\n")); return err }},
-		{"NewImageErr/negative", func() error { _, err := NewImageErr(-1); return err }},
+		{"NewImage/negative", func() error { _, err := NewImage(-1); return err }},
+		{"NewLabels/zero", func() error { _, err := NewLabels(0); return err }},
 		{"NewSimulator/zero", func() error { _, err := NewSimulator(0, CM5); return err }},
-		{"LabelSequentialErr/oversized", func() error { _, err := LabelSequentialErr(oversized, Conn8, Binary); return err }},
-		{"LabelSequentialErr/ragged", func() error { _, err := LabelSequentialErr(ragged, Conn8, Binary); return err }},
-		{"LabelParallelErr/oversized", func() error { _, err := LabelParallelErr(oversized, LabelOptions{}); return err }},
-		{"LabelParallelErr/ragged", func() error { _, err := LabelParallelErr(ragged, LabelOptions{}); return err }},
-		{"LabelParallelErr/bad conn", func() error {
-			_, err := LabelParallelErr(GenCrossImage(8), LabelOptions{Conn: Connectivity(99)})
+		{"LabelSequential/oversized", func() error { _, err := LabelSequential(oversized, Conn8, Binary); return err }},
+		{"LabelSequential/ragged", func() error { _, err := LabelSequential(ragged, Conn8, Binary); return err }},
+		{"Label/oversized", func() error { _, err := Label(ctx, oversized, LabelOptions{}); return err }},
+		{"Label/ragged", func() error { _, err := Label(ctx, ragged, LabelOptions{}); return err }},
+		{"Label/bad conn", func() error {
+			_, err := Label(ctx, GenCrossImage(8), LabelOptions{Conn: Connectivity(99)})
 			return err
 		}},
-		{"Simulator.Label/oversized", func() error { _, err := sim.Label(oversized, LabelOptions{}); return err }},
-		{"Simulator.Label/ragged", func() error { _, err := sim.Label(ragged, LabelOptions{}); return err }},
-		{"Simulator.Histogram/hot grey", func() error { _, err := sim.Histogram(hotGrey, 4); return err }},
+		{"Simulator.Label/oversized", func() error { _, err := sim.Label(ctx, oversized, LabelOptions{}); return err }},
+		{"Simulator.Label/ragged", func() error { _, err := sim.Label(ctx, ragged, LabelOptions{}); return err }},
+		{"Simulator.Histogram/hot grey", func() error { _, err := sim.Histogram(ctx, hotGrey, 4); return err }},
 		{"Simulator.Equalize/bad k", func() error { _, err := sim.Equalize(GenCrossImage(8), -3); return err }},
-		{"Simulator.Census/mismatch", func() error { _, err := sim.Census(GenCrossImage(16), NewLabels(4)); return err }},
+		{"Simulator.Census/mismatch", func() error { _, err := sim.Census(GenCrossImage(16), must(NewLabels(4))); return err }},
 		{"HistogramSequential/hot grey", func() error { _, err := HistogramSequential(hotGrey, 4); return err }},
-		{"HistogramParallel/hot grey", func() error { _, err := HistogramParallel(hotGrey, 4); return err }},
-		{"HistogramParallel/nil", func() error { _, err := HistogramParallel(nil, 4); return err }},
-		{"ThresholdErr/ragged", func() error { _, err := ThresholdErr(ragged, 1); return err }},
-		{"CensusErr/mismatch", func() error { _, err := CensusErr(NewLabels(4), GenCrossImage(16)); return err }},
-		{"GeneratePatternErr/unknown", func() error { _, err := GeneratePatternErr(PatternID(-1), 16); return err }},
-		{"RandomBinaryErr/NaN-ish density", func() error { _, err := RandomBinaryErr(16, -0.01, 1); return err }},
-		{"RandomGreyErr/k=1", func() error { _, err := RandomGreyErr(16, 1, 1); return err }},
+		{"Histogram/hot grey", func() error { _, err := Histogram(ctx, hotGrey, 4); return err }},
+		{"Histogram/nil", func() error { _, err := Histogram(ctx, nil, 4); return err }},
+		{"Threshold/ragged", func() error { _, err := Threshold(ragged, 1); return err }},
+		{"Census/mismatch", func() error { _, err := Census(must(NewLabels(4)), GenCrossImage(16)); return err }},
+		{"ClassifyObjects/mismatch", func() error { _, err := ClassifyObjects(must(NewLabels(4)), GenCrossImage(16)); return err }},
+		{"Equalize/hot grey", func() error { _, err := Equalize(hotGrey, []int64{1, 2, 0, 0}); return err }},
+		{"Equalize/header-only", func() error { _, err := Equalize(oversized, make([]int64, 256)); return err }},
+		{"GeneratePattern/unknown", func() error { _, err := GeneratePattern(PatternID(-1), 16); return err }},
+		{"RandomBinary/NaN-ish density", func() error { _, err := RandomBinary(16, -0.01, 1); return err }},
+		{"RandomGrey/k=1", func() error { _, err := RandomGrey(16, 1, 1); return err }},
 	}
 	for _, e := range entries {
 		err := func() (err error) {

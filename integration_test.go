@@ -2,6 +2,7 @@ package parimg
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -10,6 +11,7 @@ import (
 // binary labeling -> census -> shape classification, cross-checking each
 // stage against its sequential counterpart.
 func TestFullPipelineIntegration(t *testing.T) {
+	ctx := context.Background()
 	im := DARPAImage()
 	// Compress the dynamic range so equalization has work to do.
 	for i, v := range im.Pix {
@@ -32,7 +34,10 @@ func TestFullPipelineIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Equalize(im, hseq)
+	want, err := Equalize(im, hseq)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range want.Pix {
 		if eq.Image.Pix[i] != want.Pix[i] {
 			t.Fatalf("equalization differs at %d", i)
@@ -44,12 +49,15 @@ func TestFullPipelineIntegration(t *testing.T) {
 	if tval <= 0 || tval >= 256 {
 		t.Fatalf("threshold %d out of range", tval)
 	}
-	bin := Threshold(eq.Image, uint32(tval))
-	res, err := sim.Label(bin, LabelOptions{})
+	bin, err := Threshold(eq.Image, uint32(tval))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLab := LabelSequential(bin, Conn8, Binary)
+	res, err := sim.Label(ctx, bin, LabelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLab := must(LabelSequential(bin, Conn8, Binary))
 	for i := range wantLab.Lab {
 		if res.Labels.Lab[i] != wantLab.Lab[i] {
 			t.Fatalf("labels differ at %d", i)
@@ -58,7 +66,10 @@ func TestFullPipelineIntegration(t *testing.T) {
 
 	// Census totals must cover exactly the thresholded foreground, and
 	// the parallel census must equal the host-side one.
-	stats := Census(res.Labels, eq.Image)
+	stats, err := Census(res.Labels, eq.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0
 	for _, s := range stats {
 		total += s.Size
@@ -80,7 +91,10 @@ func TestFullPipelineIntegration(t *testing.T) {
 	}
 
 	// Classification covers every component.
-	objs := ClassifyObjects(res.Labels, eq.Image)
+	objs, err := ClassifyObjects(res.Labels, eq.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(objs) != len(stats) {
 		t.Fatalf("%d objects classified, %d components", len(objs), len(stats))
 	}
@@ -89,7 +103,8 @@ func TestFullPipelineIntegration(t *testing.T) {
 // TestResultsIndependentOfMachineProfile: the machine profile changes only
 // the simulated costs, never the computed results.
 func TestResultsIndependentOfMachineProfile(t *testing.T) {
-	im := RandomGrey(64, 16, 99)
+	ctx := context.Background()
+	im := must(RandomGrey(64, 16, 99))
 	var firstH []int64
 	var firstLab []uint32
 	for _, spec := range Machines() {
@@ -97,11 +112,11 @@ func TestResultsIndependentOfMachineProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := sim.Histogram(im, 16)
+		h, err := sim.Histogram(ctx, im, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Label(im, LabelOptions{Mode: Grey})
+		res, err := sim.Label(ctx, im, LabelOptions{Mode: Grey})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,14 +142,15 @@ func TestResultsIndependentOfMachineProfile(t *testing.T) {
 // machines order by their calibrated per-op speed (CS-2 fastest, CM-5
 // slowest of the five), matching EXPERIMENTS.md.
 func TestMachineRankingStable(t *testing.T) {
-	im := RandomGrey(256, 256, 3)
+	ctx := context.Background()
+	im := must(RandomGrey(256, 256, 3))
 	times := map[string]float64{}
 	for _, spec := range Machines() {
 		sim, err := NewSimulator(16, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := sim.Histogram(im, 256)
+		h, err := sim.Histogram(ctx, im, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +166,8 @@ func TestMachineRankingStable(t *testing.T) {
 
 // TestPGMRoundTripThroughPublicAPI ties the image I/O into the pipeline.
 func TestPGMRoundTripThroughPublicAPI(t *testing.T) {
-	im := GeneratePattern(ConcentricCircles, 64)
+	ctx := context.Background()
+	im := must(GeneratePattern(ConcentricCircles, 64))
 	var buf bytes.Buffer
 	if err := WritePGM(&buf, im, 1); err != nil {
 		t.Fatal(err)
@@ -163,11 +180,11 @@ func TestPGMRoundTripThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sim.Label(im, LabelOptions{})
+	a, err := sim.Label(ctx, im, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.Label(back, LabelOptions{})
+	b, err := sim.Label(ctx, back, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +198,13 @@ func TestPGMRoundTripThroughPublicAPI(t *testing.T) {
 // TestAllThreeParallelAlgorithmsAgreePublic exercises the public baseline
 // entry points on one input.
 func TestAllThreeParallelAlgorithmsAgreePublic(t *testing.T) {
-	im := RandomBinary(64, 0.55, 12345)
+	ctx := context.Background()
+	im := must(RandomBinary(64, 0.55, 12345))
 	sim, err := NewSimulator(16, SP2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sim.Label(im, LabelOptions{})
+	a, err := sim.Label(ctx, im, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,23 +79,31 @@ func TestRunCommandFailureModes(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = sim.Histogram(parimg.GeneratePattern(parimg.Cross, 64), 3)
+			im, err := parimg.GeneratePattern(parimg.Cross, 64)
+			if err != nil {
+				return err
+			}
+			_, err = sim.Histogram(context.Background(), im, 3)
 			return err
 		}, errs.ErrGreyRange},
 		{"grey pixel over k", func() error {
-			_, err := parimg.HistogramSequential(parimg.RandomGrey(32, 16, 1), 4)
+			im, err := parimg.RandomGrey(32, 16, 1)
+			if err != nil {
+				return err
+			}
+			_, err = parimg.HistogramSequential(im, 4)
 			return err
 		}, errs.ErrGreyRange},
 		{"bad -random density", func() error {
-			_, err := parimg.RandomBinaryErr(64, 1.5, 1)
+			_, err := parimg.RandomBinary(64, 1.5, 1)
 			return err
 		}, errs.ErrBadInput},
 		{"bad -n", func() error {
-			_, err := parimg.GeneratePatternErr(parimg.Cross, -1)
+			_, err := parimg.GeneratePattern(parimg.Cross, -1)
 			return err
 		}, errs.ErrGeometry},
 		{"label overflow", func() error {
-			_, err := parimg.LabelParallelErr(&parimg.Image{N: parimg.MaxSide + 1}, parimg.LabelOptions{})
+			_, err := parimg.Label(context.Background(), &parimg.Image{N: parimg.MaxSide + 1}, parimg.LabelOptions{})
 			return err
 		}, errs.ErrLabelOverflow},
 	}
@@ -151,7 +159,11 @@ func TestRunTimeoutExitCode(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	code, out := runCapture(t, "imgcc", func() error {
-		_, err := parimg.LabelContext(ctx, parimg.GeneratePattern(parimg.Cross, 64), parimg.LabelOptions{})
+		im, err := parimg.GeneratePattern(parimg.Cross, 64)
+		if err != nil {
+			return err
+		}
+		_, err = parimg.Label(ctx, im, parimg.LabelOptions{})
 		return err
 	})
 	if code != 2 {

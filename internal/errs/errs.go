@@ -190,7 +190,7 @@ func CheckpointMismatch(op, format string, args ...any) error {
 // the underlying cause (a recovered panic value wrapped as an error, or the
 // context error that triggered the stop).
 type RunError struct {
-	// Op is the interrupted operation, e.g. "parimg.LabelContext".
+	// Op is the interrupted operation, e.g. "par.Label".
 	Op string
 	// Kind is the runtime sentinel: ErrAborted, ErrCanceled or ErrDeadline.
 	Kind error

@@ -21,7 +21,10 @@ func TestEqualizeMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := image.Equalize(im, h)
+			want, err := image.Equalize(im, h)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range want.Pix {
 				if res.Image.Pix[i] != want.Pix[i] {
 					t.Fatalf("p=%d k=%d: pixel %d = %d, want %d",
@@ -46,7 +49,10 @@ func TestEqualizeKSmallerThanP(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, _ := im.Histogram(4)
-	want := image.Equalize(im, h)
+	want, err := image.Equalize(im, h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range want.Pix {
 		if res.Image.Pix[i] != want.Pix[i] {
 			t.Fatalf("pixel %d", i)

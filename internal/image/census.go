@@ -116,26 +116,34 @@ func (l *Labels) census(im *Image) []ComponentStat {
 // k-bucket histogram (Section 4's motivating application). Background
 // (grey 0) is preserved; the foreground grey levels are remapped so their
 // cumulative distribution is as flat as the bucketing allows, spreading
-// out colors "too clumped together for human visual distinction".
-func Equalize(im *Image, h []int64) *Image {
+// out colors "too clumped together for human visual distinction". A
+// malformed image, an empty histogram or a grey level >= k returns a typed
+// error.
+func Equalize(im *Image, h []int64) (*Image, error) {
+	if err := im.Check(); err != nil {
+		return nil, err
+	}
 	k := len(h)
 	var fg int64
 	for g := 1; g < k; g++ {
 		fg += h[g]
 	}
-	out := New(im.N)
-	if fg == 0 {
-		copy(out.Pix, im.Pix)
-		return out
-	}
 	lut := make([]uint32, k)
 	var cum int64
 	for g := 1; g < k; g++ {
+		if fg == 0 {
+			lut[g] = uint32(g) // no foreground counted: identity map
+			continue
+		}
 		cum += h[g]
 		lut[g] = uint32(1 + (int64(k-2)*cum+fg/2)/fg)
 	}
+	out := New(im.N)
 	for i, v := range im.Pix {
+		if int(v) >= k {
+			return nil, errs.GreyRange("image.Equalize", k, "grey level %d outside [0,%d)", v, k)
+		}
 		out.Pix[i] = lut[v]
 	}
-	return out
+	return out, nil
 }

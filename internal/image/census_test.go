@@ -113,7 +113,10 @@ func TestEqualizeFlattens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Equalize(im, h)
+	out, err := Equalize(im, h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h2, err := out.Histogram(k)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +156,10 @@ func TestEqualizeMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Equalize(im, h)
+	out, err := Equalize(im, h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range im.Pix {
 		for j := range im.Pix {
 			if im.Pix[i] != 0 && im.Pix[j] != 0 && im.Pix[i] < im.Pix[j] && out.Pix[i] > out.Pix[j] {
@@ -170,7 +176,10 @@ func TestEqualizeMonotone(t *testing.T) {
 func TestEqualizeAllBackground(t *testing.T) {
 	im := New(8)
 	h, _ := im.Histogram(16)
-	out := Equalize(im, h)
+	out, err := Equalize(im, h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range out.Pix {
 		if v != 0 {
 			t.Fatal("background image should stay background")

@@ -148,6 +148,15 @@ func NewLabels(n int) *Labels {
 	return &Labels{N: n, Lab: make([]uint32, n*n)}
 }
 
+// NewLabelsChecked is NewLabels with typed validation, like NewChecked:
+// ErrGeometry for non-positive n, ErrLabelOverflow for n > MaxSide.
+func NewLabelsChecked(n int) (*Labels, error) {
+	if err := checkSide("image.NewLabels", n); err != nil {
+		return nil, err
+	}
+	return &Labels{N: n, Lab: make([]uint32, n*n)}, nil
+}
+
 // Check validates the labeling structure the way Image.Check validates an
 // image: side in (0, MaxSide], exactly N*N labels.
 func (l *Labels) Check() error {

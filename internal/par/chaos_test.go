@@ -36,7 +36,7 @@ func TestInjectedPanicEveryPhase(t *testing.T) {
 	im := image.Generate(image.DualSpiral, 64)
 	grey := image.RandomGrey(64, 16, 1)
 	histogram := func(e *Engine) error {
-		_, err := e.Histogram(grey, 16)
+		_, err := e.HistogramContext(nil, grey, 16)
 		return err
 	}
 	cases := []struct {
@@ -123,7 +123,7 @@ func TestHistogramContextDeadlineMidRun(t *testing.T) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
 	e.SetFaultInjector(nil)
-	h, err := e.Histogram(im, 16)
+	h, err := e.HistogramContext(nil, im, 16)
 	if err != nil {
 		t.Fatalf("clean histogram after deadline: %v", err)
 	}

@@ -57,14 +57,14 @@ func TestLabelErrInputValidation(t *testing.T) {
 
 func TestHistogramTypedErrors(t *testing.T) {
 	e := NewEngine(2)
-	if _, err := e.Histogram(image.GenCross(16), 0); !errors.Is(err, errs.ErrGreyRange) {
+	if _, err := e.HistogramContext(nil, image.GenCross(16), 0); !errors.Is(err, errs.ErrGreyRange) {
 		t.Errorf("k=0: %v", err)
 	}
-	if err := e.HistogramInto(nil, make([]int64, 4)); !errors.Is(err, errs.ErrBadInput) {
+	if err := e.HistogramIntoContext(nil, nil, make([]int64, 4)); !errors.Is(err, errs.ErrBadInput) {
 		t.Errorf("nil image: %v", err)
 	}
 	im := image.RandomGrey(16, 8, 1)
-	if _, err := e.Histogram(im, 4); !errors.Is(err, errs.ErrGreyRange) {
+	if _, err := e.HistogramContext(nil, im, 4); !errors.Is(err, errs.ErrGreyRange) {
 		t.Errorf("grey out of range: %v", err)
 	}
 }

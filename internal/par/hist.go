@@ -8,19 +8,14 @@ import (
 	"parimg/internal/image"
 )
 
-// Histogram computes the k-bucket histogram of im with the engine's
+// HistogramContext computes the k-bucket histogram of im with the engine's
 // workers: per-worker sharded tallies of one strip each, merged pairwise in
 // a tree of log(workers) parallel rounds. Pixels with grey level >= k are
-// an error, as in the sequential baseline.
-func (e *Engine) Histogram(im *image.Image, k int) ([]int64, error) {
-	return e.HistogramContext(nil, im, k)
-}
-
-// HistogramContext is Histogram with cooperative cancellation: when ctx is
-// canceled or its deadline expires, the workers stop at their next
-// checkpoint (inside the tally strips and between tree-merge rounds) and
-// the call returns an error wrapping errs.ErrCanceled or errs.ErrDeadline.
-// A nil ctx disables cancellation at no cost.
+// an error, as in the sequential baseline. When ctx is canceled or its
+// deadline expires, the workers stop at their next checkpoint (inside the
+// tally strips and between tree-merge rounds) and the call returns an
+// error wrapping errs.ErrCanceled or errs.ErrDeadline. A nil ctx disables
+// cancellation at no cost.
 func (e *Engine) HistogramContext(ctx context.Context, im *image.Image, k int) ([]int64, error) {
 	if k < 1 {
 		return nil, errs.GreyRange("par.Histogram", k, "histogram needs at least 1 bucket, got %d", k)
@@ -32,16 +27,11 @@ func (e *Engine) HistogramContext(ctx context.Context, im *image.Image, k int) (
 	return h, nil
 }
 
-// HistogramInto tallies im into h (len(h) buckets), overwriting it. A
-// malformed image, an empty bucket slice or a pixel with grey level >=
-// len(h) returns a typed error from the errs taxonomy.
-func (e *Engine) HistogramInto(im *image.Image, h []int64) error {
-	return e.HistogramIntoContext(nil, im, h)
-}
-
-// HistogramIntoContext is HistogramInto with cooperative cancellation; see
-// HistogramContext for the error contract. On a run error the contents of
-// h are undefined — callers must discard them.
+// HistogramIntoContext tallies im into h (len(h) buckets), overwriting it.
+// A malformed image, an empty bucket slice or a pixel with grey level >=
+// len(h) returns a typed error from the errs taxonomy; see
+// HistogramContext for the cancellation contract. On a run error the
+// contents of h are undefined — callers must discard them.
 func (e *Engine) HistogramIntoContext(ctx context.Context, im *image.Image, h []int64) error {
 	k := len(h)
 	if k < 1 {

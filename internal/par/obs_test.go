@@ -96,7 +96,7 @@ func TestHistogramRecordsPhases(t *testing.T) {
 	e := NewEngine(4)
 	r := obs.NewRecorder()
 	e.SetObserver(r)
-	if _, err := e.Histogram(im, 16); err != nil {
+	if _, err := e.HistogramContext(nil, im, 16); err != nil {
 		t.Fatal(err)
 	}
 	m := r.Snapshot()

@@ -408,16 +408,10 @@ func Label(ctx context.Context, rec *obs.Recorder, im *image.Image,
 }
 
 // Histogram computes im's k-bucket histogram on a pooled engine with
-// GOMAXPROCS workers. Safe for concurrent use.
-func Histogram(im *image.Image, k int) ([]int64, error) {
-	e := defaultPool.rent()
-	defer defaultPool.Return(e)
-	return e.Histogram(im, k)
-}
-
-// HistogramContext is Histogram with cooperative cancellation; see
-// Engine.LabelContext for the error contract. Safe for concurrent use.
-func HistogramContext(ctx context.Context, im *image.Image, k int) ([]int64, error) {
+// GOMAXPROCS workers; see Engine.HistogramContext for the error and
+// cancellation contract (a nil ctx disables cancellation). Safe for
+// concurrent use.
+func Histogram(ctx context.Context, im *image.Image, k int) ([]int64, error) {
 	e := defaultPool.rent()
 	defer defaultPool.Return(e)
 	return e.HistogramContext(ctx, im, k)

@@ -199,7 +199,7 @@ func TestHistogramMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts {
-				got, err := NewEngine(w).Histogram(im, k)
+				got, err := NewEngine(w).HistogramContext(nil, im, k)
 				if err != nil {
 					t.Fatalf("n=%d k=%d w=%d: %v", n, k, w, err)
 				}
@@ -219,10 +219,10 @@ func TestHistogramMatchesSequential(t *testing.T) {
 func TestHistogramOutOfRange(t *testing.T) {
 	im := image.New(8)
 	im.Set(3, 3, 9)
-	if _, err := NewEngine(4).Histogram(im, 8); err == nil {
+	if _, err := NewEngine(4).HistogramContext(nil, im, 8); err == nil {
 		t.Fatal("want error for grey level 9 with k=8")
 	}
-	if _, err := NewEngine(4).Histogram(im, 16); err != nil {
+	if _, err := NewEngine(4).HistogramContext(nil, im, 16); err != nil {
 		t.Fatalf("k=16: %v", err)
 	}
 }
@@ -239,7 +239,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := Histogram(im, 64)
+			got, err := Histogram(nil, im, 64)
 			if err != nil {
 				t.Error(err)
 				return

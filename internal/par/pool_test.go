@@ -42,7 +42,7 @@ func TestEngineCloseRejectsCalls(t *testing.T) {
 	if _, err := e.LabelContext(context.Background(), im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrClosed) {
 		t.Fatalf("LabelContext after Close: got %v, want ErrClosed", err)
 	}
-	if _, err := e.Histogram(im, 2); !errors.Is(err, errs.ErrClosed) {
+	if _, err := e.HistogramContext(nil, im, 2); !errors.Is(err, errs.ErrClosed) {
 		t.Fatalf("Histogram after Close: got %v, want ErrClosed", err)
 	}
 	var re *errs.RunError

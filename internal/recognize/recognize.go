@@ -62,14 +62,18 @@ func (o Object) String() string {
 }
 
 // Classify classifies every component of a labeling over its source image,
-// in census order (decreasing size).
-func Classify(l *image.Labels, im *image.Image) []Object {
-	stats := l.Census(im)
+// in census order (decreasing size). A malformed image or labeling, or
+// sides that do not match, returns the census's typed error.
+func Classify(l *image.Labels, im *image.Image) ([]Object, error) {
+	stats, err := l.CensusChecked(im)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Object, len(stats))
 	for i, s := range stats {
 		out[i] = classifyOne(l, s)
 	}
-	return out
+	return out, nil
 }
 
 func classifyOne(l *image.Labels, s image.ComponentStat) Object {

@@ -10,7 +10,11 @@ import (
 func classifyImage(t *testing.T, im *image.Image) []Object {
 	t.Helper()
 	l := seq.LabelBFS(im, image.Conn8, seq.Binary)
-	return Classify(l, im)
+	objs, err := Classify(l, im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return objs
 }
 
 func TestClassifyDisc(t *testing.T) {
@@ -83,7 +87,10 @@ func TestClassifyGreyScene(t *testing.T) {
 	// must find bars (links/strings), rectangles and discs.
 	im := image.DARPASynthetic()
 	l := seq.LabelBFS(im, image.Conn8, seq.Grey)
-	objs := Classify(l, im)
+	objs, err := Classify(l, im)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sum := Summary(objs)
 	if sum[Bar] == 0 {
 		t.Error("no bars found in the mobile scene")

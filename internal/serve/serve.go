@@ -1,6 +1,6 @@
 // Package serve is the labeling-as-a-service runtime behind cmd/imgccd: it
 // composes *inter*-image parallelism (one task per request, scheduled onto
-// N runner goroutines by a bounded work-stealing queue) with the existing
+// N runner goroutines by one bounded FIFO queue) with the existing
 // *intra*-image strip parallelism of internal/par (each runner drives a
 // W-worker engine rented from a par.Pool).
 //
@@ -334,7 +334,6 @@ func (s *Server) MetricsDocs() []*obs.Metrics {
 	agg.Counters["queue_depth"] = int64(s.sched.depthNow())
 	agg.Counters["queue_capacity"] = int64(s.cfg.QueueDepth)
 	agg.Counters["rejected"] = s.rejected.Load()
-	agg.Counters["steals"] = s.sched.steals.Load()
 	agg.Counters["runners"] = int64(s.cfg.Engines)
 	agg.Counters["engine_workers"] = int64(s.cfg.EngineWorkers)
 	return append([]*obs.Metrics{agg}, s.hist.recent()...)

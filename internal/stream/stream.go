@@ -18,8 +18,8 @@ import (
 
 const op = "stream.Label"
 
-// DefaultMaxBandPixels is the band budget when Options leaves both band
-// knobs zero: bands are sized to at most this many resident pixels (4 Mi
+// DefaultMaxBandPixels is the band budget when Options.BandRows is zero:
+// bands are sized to at most this many resident pixels (4 Mi
 // pixels = 16 MiB of decoded uint32s), small enough to stay cache-friendly
 // and large enough that the per-band overhead (one ReadAt, one boundary
 // merge) is noise.
@@ -41,12 +41,9 @@ type Options struct {
 	// Mode selects binary or grey-scale components.
 	Mode seq.Mode
 	// BandRows fixes the band height in rows. 0 derives it from
-	// MaxBandPixels. Bands taller than the image are clamped.
+	// DefaultMaxBandPixels, with a floor of one row. Bands taller than the
+	// image are clamped.
 	BandRows int
-	// MaxBandPixels caps the resident pixels per band when BandRows is 0
-	// (0 means DefaultMaxBandPixels). A single row is always resident, so
-	// the effective floor is one row.
-	MaxBandPixels int
 	// TopK asks for the sizes of the K largest components (0 = none).
 	TopK int
 	// Context, when non-nil, cancels the run cooperatively: the pipeline
@@ -245,20 +242,14 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// resolveBandRows turns the Options band knobs into a concrete band
-// height in [1, Height], rejecting bands whose pixel count would not fit
-// the band-local uint32 label space.
+// resolveBandRows turns Options.BandRows into a concrete band height in
+// [1, Height], rejecting bands whose pixel count would not fit the
+// band-local uint32 label space.
 func resolveBandRows(hdr *image.PGMHeader, opt Options) (int, error) {
 	rows := opt.BandRows
 	if rows <= 0 {
-		budget := opt.MaxBandPixels
-		if budget <= 0 {
-			budget = DefaultMaxBandPixels
-		}
-		rows = budget / hdr.Width
-		if rows < 1 {
-			rows = 1 // one row must be resident no matter the budget
-		}
+		// One row must be resident no matter how wide the image is.
+		rows = max(1, DefaultMaxBandPixels/hdr.Width)
 	}
 	if rows > hdr.Height {
 		rows = hdr.Height

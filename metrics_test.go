@@ -19,11 +19,17 @@ import (
 // Wall clocks on shared machines are noisy, so one clean attempt out of
 // five passes.
 func TestParMetricsPhasesCoverTotal(t *testing.T) {
-	im := parimg.GeneratePattern(parimg.DualSpiral, 512)
+	im, err := parimg.GeneratePattern(parimg.DualSpiral, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := parimg.NewParallelEngine(4)
 	rec := parimg.NewMetricsRecorder()
 	eng.SetObserver(rec)
-	out := parimg.NewLabels(im.N)
+	out, err := parimg.NewLabels(im.N)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var best float64
 	for attempt := 0; attempt < 5; attempt++ {
@@ -66,8 +72,11 @@ func TestSimMetricsModelPhasesAndComm(t *testing.T) {
 	}
 	rec := parimg.NewMetricsRecorder()
 	sim.SetObserver(rec)
-	im := parimg.GeneratePattern(parimg.DualSpiral, 256)
-	res, err := sim.Label(im, parimg.LabelOptions{})
+	im, err := parimg.GeneratePattern(parimg.DualSpiral, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Label(context.Background(), im, parimg.LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +115,11 @@ func TestSimHistogramMetrics(t *testing.T) {
 	}
 	rec := parimg.NewMetricsRecorder()
 	sim.SetObserver(rec)
-	im := parimg.RandomGrey(128, 256, 1)
-	res, err := sim.Histogram(im, 256)
+	im, err := parimg.RandomGrey(128, 256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Histogram(context.Background(), im, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,14 @@
 //     processors and reports both results and modeled execution costs, and
 //   - sequential baselines.
 //
-// A minimal session:
+// Every operation has one entry point, and it returns an error. Entry
+// points that can run long take a context.Context first; a nil context
+// behaves as context.Background(). A minimal session:
 //
-//	im := parimg.GeneratePattern(parimg.DualSpiral, 512)
+//	ctx := context.Background()
+//	im, _ := parimg.GeneratePattern(parimg.DualSpiral, 512)
 //	sim, _ := parimg.NewSimulator(32, parimg.CM5)
-//	res, _ := sim.Label(im, parimg.LabelOptions{})
+//	res, _ := sim.Label(ctx, im, parimg.LabelOptions{})
 //	fmt.Println(res.Components, res.Report.SimTime)
 package parimg
 
@@ -40,11 +43,10 @@ import (
 )
 
 // The typed error taxonomy of the public boundary. Every validation failure
-// returned by this package (and by the error-returning *Err variants)
-// matches ErrBadInput under errors.Is; the more specific sentinels classify
-// the failure, and the concrete *InputError carries the offending n/p/k.
-// Panics are reserved for internal invariant violations — arbitrary caller
-// input never panics through an error-returning entry point.
+// returned by this package matches ErrBadInput under errors.Is; the more
+// specific sentinels classify the failure, and the concrete *InputError
+// carries the offending n/p/k. Arbitrary caller input never panics through
+// an entry point.
 var (
 	// ErrBadInput is the root of the taxonomy: every input-validation
 	// failure wraps it.
@@ -141,9 +143,9 @@ type (
 const MetricsSchema = obs.Schema
 
 // NewMetricsRecorder returns an empty, enabled metrics recorder. Install it
-// with Simulator.SetObserver or ParallelEngine.SetObserver (or pass it in
-// LabelOptions.Metrics), run, then call Snapshot for the Metrics document
-// and Reset to start the next run's epoch.
+// with Simulator.SetObserver or ParallelEngine.SetObserver (or pass it to
+// Label in LabelOptions.Metrics), run, then call Snapshot for the Metrics
+// document and Reset to start the next run's epoch.
 func NewMetricsRecorder() *MetricsRecorder { return obs.NewRecorder() }
 
 // Connectivity and mode constants.
@@ -185,21 +187,13 @@ func Machines() []MachineSpec { return machine.All() }
 // ideal), case-insensitively.
 func MachineByName(name string) (MachineSpec, error) { return machine.ByName(name) }
 
-// NewImage returns an all-background n x n image. Invalid sides panic;
-// NewImageErr returns them as errors.
-func NewImage(n int) *Image { return image.New(n) }
+// NewImage returns an all-background n x n image. A side outside
+// (0, MaxSide] returns ErrGeometry or ErrLabelOverflow.
+func NewImage(n int) (*Image, error) { return image.NewChecked(n) }
 
-// NewImageErr is NewImage with typed validation: n outside (0, MaxSide]
-// returns ErrGeometry or ErrLabelOverflow instead of panicking.
-func NewImageErr(n int) (*Image, error) { return image.NewChecked(n) }
-
-// GeneratePattern renders catalog pattern id at side n. Unknown ids and
-// invalid sides panic; GeneratePatternErr returns them as errors.
-func GeneratePattern(id PatternID, n int) *Image { return image.Generate(id, n) }
-
-// GeneratePatternErr is GeneratePattern with typed validation: an id outside
-// the Figure 1 catalog or a side outside (0, MaxSide] returns an error.
-func GeneratePatternErr(id PatternID, n int) (*Image, error) {
+// GeneratePattern renders catalog pattern id at side n. An id outside the
+// Figure 1 catalog or a side outside (0, MaxSide] returns an error.
+func GeneratePattern(id PatternID, n int) (*Image, error) {
 	return image.GenerateChecked(id, n)
 }
 
@@ -207,31 +201,22 @@ func GeneratePatternErr(id PatternID, n int) (*Image, error) {
 func AllPatterns() []PatternID { return image.AllPatterns() }
 
 // RandomBinary returns a deterministic random binary image with the given
-// foreground density. Invalid sides and densities panic; RandomBinaryErr
-// returns them as errors.
-func RandomBinary(n int, density float64, seed uint64) *Image {
-	return image.RandomBinary(n, density, seed)
-}
-
-// RandomBinaryErr is RandomBinary with typed validation: a side outside
-// (0, MaxSide] or a density outside [0, 1] (including NaN) returns an error.
-func RandomBinaryErr(n int, density float64, seed uint64) (*Image, error) {
+// foreground density. A side outside (0, MaxSide] or a density outside
+// [0, 1] (including NaN) returns an error.
+func RandomBinary(n int, density float64, seed uint64) (*Image, error) {
 	return image.RandomBinaryChecked(n, density, seed)
 }
 
-// RandomGrey returns a deterministic random image with k grey levels.
-// Invalid sides and grey counts panic; RandomGreyErr returns them as errors.
-func RandomGrey(n, k int, seed uint64) *Image { return image.RandomGrey(n, k, seed) }
-
-// RandomGreyErr is RandomGrey with typed validation: a side outside
-// (0, MaxSide] or k < 2 returns an error.
-func RandomGreyErr(n, k int, seed uint64) (*Image, error) {
+// RandomGrey returns a deterministic random image with k grey levels. A
+// side outside (0, MaxSide] or k < 2 returns an error.
+func RandomGrey(n, k int, seed uint64) (*Image, error) {
 	return image.RandomGreyChecked(n, k, seed)
 }
 
 // NewLabels returns a zeroed labeling for an n x n image, for use with
-// ParallelEngine.LabelInto.
-func NewLabels(n int) *Labels { return image.NewLabels(n) }
+// ParallelEngine.LabelIntoContext. A side outside (0, MaxSide] returns
+// ErrGeometry or ErrLabelOverflow.
+func NewLabels(n int) (*Labels, error) { return image.NewLabelsChecked(n) }
 
 // DARPAImage returns the synthetic 512 x 512, 256 grey-level stand-in for
 // the DARPA Image Understanding Benchmark image (Figure 2); see DESIGN.md
@@ -301,19 +286,11 @@ type HistogramResult struct {
 
 // Histogram computes the k-bar histogram of im on the simulated machine
 // (Section 4 of the paper). k must be a power of two and the image must
-// tile evenly across the processors.
-func (s *Simulator) Histogram(im *Image, k int) (*HistogramResult, error) {
-	return s.HistogramContext(context.Background(), im, k)
-}
-
-// HistogramContext is Histogram bounded by ctx: on cancellation or deadline
-// expiry the simulated processors unwind at their next checkpoint and the
+// tile evenly across the processors. On cancellation or deadline expiry of
+// ctx the simulated processors unwind at their next checkpoint and the
 // call returns an error wrapping ErrCanceled or ErrDeadline.
-func (s *Simulator) HistogramContext(ctx context.Context, im *Image, k int) (*HistogramResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := s.hist.RunContext(ctx, im, k)
+func (s *Simulator) Histogram(ctx context.Context, im *Image, k int) (*HistogramResult, error) {
+	res, err := s.hist.RunContext(orBackground(ctx), im, k)
 	if err != nil {
 		return nil, err
 	}
@@ -348,24 +325,18 @@ func (s *Simulator) Equalize(im *Image, k int) (*EqualizeResult, error) {
 func OtsuThreshold(h []int64) int { return hist.OtsuThreshold(h) }
 
 // Threshold returns the binary image with foreground where im's grey level
-// is at least t. Malformed images panic; ThresholdErr returns them as
-// errors.
-func Threshold(im *Image, t uint32) *Image {
-	out := NewImage(im.N)
+// is at least t. A malformed image returns an error.
+func Threshold(im *Image, t uint32) (*Image, error) {
+	if err := im.Check(); err != nil {
+		return nil, err
+	}
+	out := image.New(im.N)
 	for i, v := range im.Pix {
 		if v >= t && v > 0 {
 			out.Pix[i] = 1
 		}
 	}
-	return out
-}
-
-// ThresholdErr is Threshold with typed validation of the input image.
-func ThresholdErr(im *Image, t uint32) (*Image, error) {
-	if err := im.Check(); err != nil {
-		return nil, err
-	}
-	return Threshold(im, t), nil
+	return out, nil
 }
 
 // StageBreakdown is the per-stage simulated time split of a labeling run.
@@ -389,16 +360,9 @@ type LabelOptions struct {
 	// paper's limited border-and-hooks updating.
 	FullRelabel bool
 	// Metrics, when non-nil, receives the run's phase times and operation
-	// counters. Honored by LabelParallel; Simulator.Label instead uses the
+	// counters. Honored by Label; Simulator.Label instead uses the
 	// recorder installed with Simulator.SetObserver.
 	Metrics *MetricsRecorder
-	// Context, when non-nil, bounds the run: on cancellation or deadline
-	// expiry the workers (or simulated processors) stop at their next
-	// checkpoint and the call returns an error wrapping ErrCanceled or
-	// ErrDeadline. Honored by the error-returning entry points
-	// (LabelParallelErr, Simulator.Label); LabelParallel has no error path
-	// and ignores it — use LabelContext instead.
-	Context context.Context
 }
 
 // CCResult is the outcome of a parallel connected components run.
@@ -419,8 +383,12 @@ type CCResult struct {
 }
 
 // Label computes the connected components of im on the simulated machine
-// (Sections 5 and 6 of the paper).
-func (s *Simulator) Label(im *Image, opt LabelOptions) (*CCResult, error) {
+// (Sections 5 and 6 of the paper). On cancellation or deadline expiry of
+// ctx the simulated processors unwind at their next Sync/Barrier
+// checkpoint — merge iterations are bracketed by barriers, so cancellation
+// lands on a merge-round boundary — and the call returns an error wrapping
+// ErrCanceled or ErrDeadline.
+func (s *Simulator) Label(ctx context.Context, im *Image, opt LabelOptions) (*CCResult, error) {
 	o := cc.Options{
 		Conn:        opt.Conn,
 		Mode:        opt.Mode,
@@ -430,11 +398,7 @@ func (s *Simulator) Label(im *Image, opt LabelOptions) (*CCResult, error) {
 	if opt.DirectDistribution {
 		o.ChangeDist = cc.DistDirect
 	}
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := s.cc.RunContext(ctx, im, o)
+	res, err := s.cc.RunContext(orBackground(ctx), im, o)
 	if err != nil {
 		return nil, err
 	}
@@ -447,14 +411,13 @@ func (s *Simulator) Label(im *Image, opt LabelOptions) (*CCResult, error) {
 	}, nil
 }
 
-// LabelContext is Label bounded by ctx (which takes precedence over
-// opt.Context): on cancellation or deadline expiry the simulated processors
-// unwind at their next Sync/Barrier checkpoint — merge iterations are
-// bracketed by barriers, so cancellation lands on a merge-round boundary —
-// and the call returns an error wrapping ErrCanceled or ErrDeadline.
-func (s *Simulator) LabelContext(ctx context.Context, im *Image, opt LabelOptions) (*CCResult, error) {
-	opt.Context = ctx
-	return s.Label(im, opt)
+// orBackground maps the nil context the entry points accept to
+// context.Background().
+func orBackground(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
 }
 
 // ComponentStat summarizes one labeled component (area, bounding box,
@@ -484,13 +447,9 @@ func (s *Simulator) Census(im *Image, labels *Labels) (*CensusResult, error) {
 }
 
 // Census computes per-component statistics of a labeling over its source
-// image, sorted by decreasing size. Mismatched or malformed inputs panic;
-// CensusErr returns them as errors.
-func Census(l *Labels, im *Image) []ComponentStat { return l.Census(im) }
-
-// CensusErr is Census with typed validation: a malformed image or labeling,
-// or sides that do not match, returns an error instead of panicking.
-func CensusErr(l *Labels, im *Image) ([]ComponentStat, error) {
+// image, sorted by decreasing size. A malformed image or labeling, or sides
+// that do not match, returns an error.
+func Census(l *Labels, im *Image) ([]ComponentStat, error) {
 	return l.CensusChecked(im)
 }
 
@@ -512,12 +471,18 @@ const (
 
 // ClassifyObjects classifies every labeled component into a coarse shape
 // class from its region features — the recognition step of the DARPA
-// benchmark task the paper cites. Results are in decreasing size order.
-func ClassifyObjects(l *Labels, im *Image) []Object { return recognize.Classify(l, im) }
+// benchmark task the paper cites. Results are in decreasing size order. A
+// malformed image or labeling, or sides that do not match, returns an
+// error.
+func ClassifyObjects(l *Labels, im *Image) ([]Object, error) {
+	return recognize.Classify(l, im)
+}
 
 // Equalize returns the histogram-equalized image given its k-bucket
-// histogram (e.g. from Simulator.Histogram); background is preserved.
-func Equalize(im *Image, h []int64) *Image { return image.Equalize(im, h) }
+// histogram (e.g. from Simulator.Histogram); background is preserved. A
+// malformed image returns an error, and so does a grey level >= len(h)
+// (ErrGreyRange).
+func Equalize(im *Image, h []int64) (*Image, error) { return image.Equalize(im, h) }
 
 // ReadPGM reads a binary (P5) PGM image; it must be square.
 func ReadPGM(r io.Reader) (*Image, error) { return image.ReadPGM(r) }
@@ -570,16 +535,11 @@ func (s *Simulator) LabelByPointerJumping(im *Image, opt LabelOptions) (*CCResul
 func HistogramSequential(im *Image, k int) ([]int64, error) { return im.Histogram(k) }
 
 // LabelSequential is the single-processor baseline labeling, the paper's
-// row-major BFS algorithm of Section 5.1 applied to the whole image.
-// Malformed inputs panic; LabelSequentialErr returns them as errors.
-func LabelSequential(im *Image, conn Connectivity, mode Mode) *Labels {
-	return seq.LabelBFS(im, conn, mode)
-}
-
-// LabelSequentialErr is LabelSequential with typed validation: a malformed
-// image (including sides beyond MaxSide, which would wrap the 32-bit seed
-// labels), an unknown connectivity or an unknown mode returns an error.
-func LabelSequentialErr(im *Image, conn Connectivity, mode Mode) (*Labels, error) {
+// row-major BFS algorithm of Section 5.1 applied to the whole image. A
+// malformed image (including sides beyond MaxSide, which would wrap the
+// 32-bit seed labels), an unknown connectivity or an unknown mode returns
+// an error.
+func LabelSequential(im *Image, conn Connectivity, mode Mode) (*Labels, error) {
 	if err := im.Check(); err != nil {
 		return nil, err
 	}
@@ -592,75 +552,44 @@ func LabelSequentialErr(im *Image, conn Connectivity, mode Mode) (*Labels, error
 	return seq.LabelBFS(im, conn, mode), nil
 }
 
-// LabelParallel labels the connected components of im on the host-parallel
+// Label labels the connected components of im on the host-parallel
 // engine: the paper's tile-labeling-plus-border-merge decomposition
 // executed on GOMAXPROCS worker goroutines for real wall-clock speedup,
 // with border merges resolved by a concurrent union-find instead of a
 // simulated message-passing machine. The labeling is pixel-for-pixel
 // identical to LabelSequential (and to Simulator.Label). Only Conn, Mode
-// and Metrics of the options are honored — the remaining fields configure
-// simulator-only ablations or, like Context, need an error path.
-// Malformed inputs panic; LabelParallelErr returns them as errors. Safe for
-// concurrent use.
-func LabelParallel(im *Image, opt LabelOptions) *Labels {
-	l, err := par.Label(nil, opt.Metrics, im, connOf(opt), opt.Mode)
-	if err != nil {
-		// Invariant panic: trusted callers validate first; hostile inputs
-		// go through LabelParallelErr.
-		panic(err.Error())
+// and Metrics of the options are honored; the remaining fields configure
+// simulator-only ablations.
+//
+// A malformed image (nil, wrong buffer length, side outside (0, MaxSide]),
+// an unknown connectivity or an unknown mode returns an error from the
+// taxonomy; in particular a side beyond MaxSide returns ErrLabelOverflow,
+// because seed labels are 32-bit global indexes. On cancellation or
+// deadline expiry of ctx the workers stop at their next checkpoint —
+// between phases, inside the seam resolution, and every few rows inside
+// the strip loops — and the call returns an error wrapping ErrCanceled or
+// ErrDeadline; no partial labeling is returned. Safe for concurrent use.
+func Label(ctx context.Context, im *Image, opt LabelOptions) (*Labels, error) {
+	conn := opt.Conn
+	if conn == 0 {
+		conn = Conn8
 	}
-	return l
+	return par.Label(ctx, opt.Metrics, im, conn, opt.Mode)
 }
 
-// LabelParallelErr is LabelParallel with typed validation instead of
-// panics, bounded by opt.Context when it is set: a malformed image (nil,
-// wrong buffer length, side outside (0, MaxSide]), an unknown connectivity
-// or an unknown mode returns an error from the taxonomy. In particular a
-// side beyond MaxSide returns ErrLabelOverflow — seed labels are 32-bit
-// global indexes, so a larger image would silently wrap and collide
-// labels. Safe for concurrent use.
-func LabelParallelErr(im *Image, opt LabelOptions) (*Labels, error) {
-	return par.Label(opt.Context, opt.Metrics, im, connOf(opt), opt.Mode)
-}
-
-// connOf resolves LabelOptions.Conn, whose zero value means Conn8.
-func connOf(opt LabelOptions) Connectivity {
-	if opt.Conn == 0 {
-		return Conn8
-	}
-	return opt.Conn
-}
-
-// LabelContext is LabelParallelErr bounded by ctx (which takes precedence
-// over opt.Context): on cancellation or deadline expiry the workers stop at
-// their next checkpoint — between phases, inside the seam resolution, and
-// every few rows inside the strip loops — and the call returns an error
-// wrapping ErrCanceled or ErrDeadline; no partial labeling is returned, and
-// the engine is immediately reusable. Safe for concurrent use.
-func LabelContext(ctx context.Context, im *Image, opt LabelOptions) (*Labels, error) {
-	opt.Context = ctx
-	return LabelParallelErr(im, opt)
-}
-
-// HistogramParallel computes the k-bucket histogram of im on the
-// host-parallel engine: per-worker sharded tallies merged in a tree.
-// Unlike Simulator.Histogram, k needs not be a power of two. Safe for
-// concurrent use.
-func HistogramParallel(im *Image, k int) ([]int64, error) {
-	return par.Histogram(im, k)
-}
-
-// HistogramContext is HistogramParallel bounded by ctx; see LabelContext for
-// the error contract. Safe for concurrent use.
-func HistogramContext(ctx context.Context, im *Image, k int) ([]int64, error) {
-	return par.HistogramContext(ctx, im, k)
+// Histogram computes the k-bucket histogram of im on the host-parallel
+// engine: per-worker sharded tallies merged in a tree. Unlike
+// Simulator.Histogram, k needs not be a power of two. See Label for the
+// cancellation contract. Safe for concurrent use.
+func Histogram(ctx context.Context, im *Image, k int) ([]int64, error) {
+	return par.Histogram(ctx, im, k)
 }
 
 // NewParallelEngine returns a host-parallel engine with a fixed worker
 // count (<= 0 selects GOMAXPROCS) and reusable scratch, for callers that
 // label or histogram repeatedly and want to pin the parallelism. The
-// engine is not safe for concurrent use; the package-level LabelParallel
-// and HistogramParallel draw pooled engines and are. Long-lived programs
+// engine is not safe for concurrent use; the package-level Label and
+// Histogram draw pooled engines and are. Long-lived programs
 // that create engines dynamically should retire them with Close, the
 // counterpart of Simulator.Close: it drains any in-flight run (raising
 // its stop flag, so cancelable runs unwind at the next checkpoint with

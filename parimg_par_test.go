@@ -9,11 +9,15 @@ import (
 // entry points against the exported sequential baseline: labelings must be
 // pixel-for-pixel identical and histograms equal.
 func TestPublicParallelMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	for _, id := range AllPatterns() {
-		im := GeneratePattern(id, 96)
+		im := must(GeneratePattern(id, 96))
 		for _, conn := range []Connectivity{Conn4, Conn8} {
-			want := LabelSequential(im, conn, Binary)
-			got := LabelParallel(im, LabelOptions{Conn: conn})
+			want := must(LabelSequential(im, conn, Binary))
+			got, err := Label(ctx, im, LabelOptions{Conn: conn})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range want.Lab {
 				if got.Lab[i] != want.Lab[i] {
 					t.Fatalf("%v/%v: label mismatch at pixel %d: got %d, want %d",
@@ -28,7 +32,7 @@ func TestPublicParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpar, err := HistogramParallel(im, 256)
+	hpar, err := Histogram(ctx, im, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +49,9 @@ func TestPublicParallelMatchesSequential(t *testing.T) {
 func TestPublicParallelEngineReuse(t *testing.T) {
 	eng := NewParallelEngine(4)
 	for i, n := range []int{32, 96, 64} {
-		im := RandomBinary(n, 0.6, uint64(i+1))
-		want := LabelSequential(im, Conn8, Binary)
-		out := NewLabels(n)
+		im := must(RandomBinary(n, 0.6, uint64(i+1)))
+		want := must(LabelSequential(im, Conn8, Binary))
+		out := must(NewLabels(n))
 		ncomp, err := eng.LabelIntoContext(context.Background(), im, Conn8, Binary, out)
 		if err != nil {
 			t.Fatal(err)

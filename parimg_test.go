@@ -1,27 +1,29 @@
 package parimg
 
 import (
+	"context"
 	"testing"
 )
 
 func TestPublicQuickstartFlow(t *testing.T) {
-	im := GeneratePattern(DualSpiral, 128)
+	ctx := context.Background()
+	im := must(GeneratePattern(DualSpiral, 128))
 	sim, err := NewSimulator(16, CM5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := sim.Histogram(im, 2)
+	h, err := sim.Histogram(ctx, im, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.H[0]+h.H[1] != int64(128*128) {
 		t.Errorf("histogram sums to %d", h.H[0]+h.H[1])
 	}
-	res, err := sim.Label(im, LabelOptions{})
+	res, err := sim.Label(ctx, im, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := LabelSequential(im, Conn8, Binary)
+	want := must(LabelSequential(im, Conn8, Binary))
 	for i := range want.Lab {
 		if res.Labels.Lab[i] != want.Lab[i] {
 			t.Fatalf("labels differ from sequential at %d", i)
@@ -58,12 +60,13 @@ func TestMachineByName(t *testing.T) {
 }
 
 func TestLabelOptionsVariants(t *testing.T) {
-	im := RandomBinary(64, 0.55, 21)
+	ctx := context.Background()
+	im := must(RandomBinary(64, 0.55, 21))
 	sim, err := NewSimulator(16, SP2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sim.Label(im, LabelOptions{})
+	base, err := sim.Label(ctx, im, LabelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestLabelOptionsVariants(t *testing.T) {
 		{Conn: Conn4},
 		{Mode: Grey},
 	} {
-		res, err := sim.Label(im, opt)
+		res, err := sim.Label(ctx, im, opt)
 		if err != nil {
 			t.Fatalf("%+v: %v", opt, err)
 		}
@@ -91,19 +94,20 @@ func TestLabelOptionsVariants(t *testing.T) {
 }
 
 func TestDARPAImageUsable(t *testing.T) {
+	ctx := context.Background()
 	im := DARPAImage()
 	sim, err := NewSimulator(16, CM5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Label(im, LabelOptions{Mode: Grey})
+	res, err := sim.Label(ctx, im, LabelOptions{Mode: Grey})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Components < 100 {
 		t.Errorf("DARPA scene has only %d components; expected a rich census", res.Components)
 	}
-	if _, err := sim.Histogram(im, 256); err != nil {
+	if _, err := sim.Histogram(ctx, im, 256); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,7 +117,9 @@ func TestAllPatternsExported(t *testing.T) {
 		t.Errorf("AllPatterns: %d, want 9", len(AllPatterns()))
 	}
 	for _, id := range AllPatterns() {
-		if im := GeneratePattern(id, 32); im.N != 32 {
+		if im, err := GeneratePattern(id, 32); err != nil {
+			t.Errorf("pattern %v: %v", id, err)
+		} else if im.N != 32 {
 			t.Errorf("pattern %v: wrong side", id)
 		}
 	}

@@ -64,7 +64,10 @@ func TestServeDarpaCensusGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-reading benchmark image: %v", err)
 	}
-	want := Census(LabelSequential(im, Conn8, Grey), im)
+	want, err := Census(must(LabelSequential(im, Conn8, Grey)), im)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if lr.Components != len(want) {
 		t.Fatalf("components = %d, want %d", lr.Components, len(want))
 	}
