@@ -12,7 +12,7 @@
 //
 //   - wall-clock phases, measured with monotonic timers around each engine
 //     phase of a host-parallel run (strip labeling, border merge, final
-//     relabel, cleanup);
+//     relabel);
 //   - modeled phases, the simulated seconds of each stage of a BDM run
 //     (initialization, each merge iteration, the final update);
 //   - modeled communication volume per primitive: the number of charged
@@ -55,21 +55,21 @@ const (
 	// CtrStripComponents counts components found by strip-local labeling
 	// before the border merge (the sum of per-strip component counts).
 	CtrStripComponents Counter = iota
-	// CtrBorderPairs counts raw adjacencies examined across strip
-	// boundaries during the border merge's edge extraction: adjacent run
-	// pairs in the resident engine, like-colored pixel pairs in the
-	// streaming band merge.
+	// CtrBorderPairs counts raw adjacencies examined across strip or band
+	// boundaries during the border merge's edge extraction: adjacent
+	// like-colored pixel pairs, in the resident engine and the streaming
+	// band merge alike.
 	CtrBorderPairs
 	// CtrBorderEdges counts deduplicated boundary union edges the border
 	// merge's extraction pass collected (the length of the edge list the
-	// union-find actually resolves); CtrBorderPairs minus
+	// seam forest actually resolves); CtrBorderPairs minus
 	// CtrBorderEdges is the work the dedup saved.
 	CtrBorderEdges
 	// CtrBorderLinks counts border unions that actually linked two
 	// distinct sets (strip components minus links = final components).
 	CtrBorderLinks
-	// CtrUFFinds counts union-find find operations (border merge and
-	// final relabel together).
+	// CtrUFFinds counts the seam-forest lookups of the final relabel: one
+	// per run of each strip's first and last rows.
 	CtrUFFinds
 	// CtrRuns counts maximal foreground runs extracted by the run-based
 	// strip engine in binary mode.

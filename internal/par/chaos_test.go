@@ -177,27 +177,6 @@ func TestInjectedNoShowWithoutContextDegradesToPanic(t *testing.T) {
 	requireCleanAfterFault(t, e, im)
 }
 
-// TestScrubRestoresUnionFind checks the "no partial writes" guarantee at its
-// weakest point: a panic between border_merge and relabel leaves the
-// concurrent union-find full of unites whose dirty lists are untrustworthy.
-// The scrub must wipe it back to the all-zero ready state, or the next run
-// inherits stale parents and mislabels.
-func TestScrubRestoresUnionFind(t *testing.T) {
-	leakcheck.Check(t)
-	im := image.Generate(image.ConcentricCircles, 128)
-	e := NewEngine(4)
-	e.SetFaultInjector(fault.New(1, fault.Panic, 1).At("relabel").OnRank(1))
-	if _, err := e.LabelContext(nil, im, image.Conn8, seq.Binary); !errors.Is(err, errs.ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted", err)
-	}
-	for i, v := range e.uf.parent {
-		if v != 0 {
-			t.Fatalf("uf.parent[%d] = %d after scrub, want 0", i, v)
-		}
-	}
-	requireCleanAfterFault(t, e, im)
-}
-
 // TestProbabilisticChaosSweep runs a randomized (but seeded, hence
 // reproducible) sweep: every run either succeeds with the exact sequential
 // labeling or fails with a typed runtime error — never a wrong answer, never

@@ -21,12 +21,12 @@ func stripedImage(n int) *image.Image {
 	return im
 }
 
-// TestMergeCountersAndCleanup pins the border merge's accounting and its
-// cleanup contract on the densest boundary: the strip components minus the
-// recorded links are the component count, the extraction's dedup never
-// reports more edges than pairs, and after the run the union-find is back
-// in its all-zero ready state (the per-worker edge slabs double as the
-// dirty lists, so every linked or path-halved entry must be covered).
+// TestMergeCountersAndCleanup pins the border merge's accounting and the
+// seam forest's footprint on the densest boundary: the strip components
+// minus the recorded links are the component count, the extraction's dedup
+// never reports more edges than pairs, and the forest holds no more
+// entries than the run's seam-edge endpoints — only labels that reach a
+// seam, never one entry per pixel.
 func TestMergeCountersAndCleanup(t *testing.T) {
 	im := stripedImage(96)
 	want := seq.LabelBFS(im, image.Conn8, seq.Binary)
@@ -43,9 +43,7 @@ func TestMergeCountersAndCleanup(t *testing.T) {
 		t.Errorf("pairs %d, edges %d — want pairs >= edges > 0",
 			rec.Counter(obs.CtrBorderPairs), rec.Counter(obs.CtrBorderEdges))
 	}
-	for i, p := range e.uf.parent {
-		if p != 0 {
-			t.Fatalf("union-find entry %d = %d after the run, want the all-zero ready state", i, p)
-		}
+	if got, max := int64(len(e.forest.Parents())), 2*rec.Counter(obs.CtrBorderEdges); got > max {
+		t.Errorf("seam forest holds %d entries, want at most the %d seam-edge endpoints", got, max)
 	}
 }

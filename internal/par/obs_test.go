@@ -29,7 +29,7 @@ func TestLabelRecordsPhasesAndCounters(t *testing.T) {
 			}
 			want := []string{"strip_label"}
 			if w > 1 {
-				want = append(want, "border_merge", "relabel", "cleanup")
+				want = append(want, "border_merge", "relabel")
 			}
 			for _, name := range want {
 				found := false

@@ -15,18 +15,20 @@
 //     scans them into maximal runs and labels the runs with a strip-local
 //     union-find, using globally unique seed labels (global row-major index
 //     of a run's first pixel + 1). Each strip boundary is then reduced to
-//     the union edges of its adjacent run pairs, which the workers feed to
-//     one concurrent union-find, and a final parallel pass relabels every
-//     run to its set's root. Unite-by-minimum makes the root the
-//     component's minimum seed label, so the result is pixel-for-pixel
-//     identical to seq.LabelBFS, not merely equivalent up to renaming.
+//     the union edges of its two facing pixel rows, which are united in
+//     order into one sparse forest holding only the labels that reach a
+//     seam, and a final parallel pass retargets the fragments each strip's
+//     first and last rows reach and repaints just their runs.
+//     Unite-by-minimum makes every root the component's minimum seed
+//     label, so the result is pixel-for-pixel identical to seq.LabelBFS,
+//     not merely equivalent up to renaming.
 //
 //   - Histogramming: per-worker tallies of each strip into sharded k-bucket
 //     arrays, merged pairwise in a tree of log(workers) parallel rounds,
 //     the shared-memory analogue of the paper's Section 4 transpose+combine.
 //
 // An Engine owns all scratch (per-worker run tables, the packed planes,
-// the union-find parent array, histogram shards) and reuses it across
+// the seam forest and edge list, histogram shards) and reuses it across
 // calls; the package-level Label and Histogram draw engines from a Pool
 // and are safe for concurrent use.
 package par
@@ -56,12 +58,13 @@ type Engine struct {
 	runners []seq.RunLabeler // per-worker run-engine scratch
 	bp      image.Bitplane   // shared bit-packed plane (strips filled per worker)
 	bytep   image.Byteplane  // shared byte-packed grey plane (strips filled per worker)
-	uf      cuf              // border-merge union-find (labels -> roots)
-	dirty   [][]uint32       // per-worker boundary edge slabs, doubling as union-find entries to clear
+	forest  Forest[uint32]   // seam forest: labels that reach a seam -> roots
+	seam    []uint32         // one boundary's union edges (reused)
+	links   int              // cross-border unions of the current call
+	pairs   int64            // boundary pixel pairs of the current call (pre-dedup)
+	edges   int64            // boundary union edges of the current call
 	comps   []int            // per-worker strip component counts
-	links   []int            // per-worker cross-border merge counts
-	pairs   []int64          // per-worker boundary adjacency counts (pre-dedup)
-	finds   []int64          // per-worker union-find find calls (final update)
+	finds   []int64          // per-worker forest lookups (final update)
 	relab   []int64          // per-worker pixels rewritten in the final update
 	shards  [][]int64        // per-worker histogram tallies
 	errs    []error          // per-worker tally errors
@@ -97,10 +100,7 @@ func NewEngine(workers int) *Engine {
 	return &Engine{
 		workers: workers,
 		runners: make([]seq.RunLabeler, workers),
-		dirty:   make([][]uint32, workers),
 		comps:   make([]int, workers),
-		links:   make([]int, workers),
-		pairs:   make([]int64, workers),
 		finds:   make([]int64, workers),
 		relab:   make([]int64, workers),
 		shards:  make([][]int64, workers),
@@ -356,7 +356,7 @@ func (e *Engine) stopFlag() *atomic.Bool {
 // after Close returns. A non-interruptible in-flight call (no context, no
 // injector) never polls the flag and simply runs to completion; Close
 // waits for it. While draining, the engine's heavy scratch (planes,
-// union-find, per-worker run tables) is released to the collector.
+// seam forest, per-worker run tables) is released to the collector.
 // Idempotent and safe to call concurrently with Label/Histogram; always
 // returns nil.
 func (e *Engine) Close() error {
@@ -366,14 +366,14 @@ func (e *Engine) Close() error {
 	e.stop.Store(true)
 	e.callMu.Lock()
 	// Drop the arena-sized scratch while we hold the mutex: the engine can
-	// never run again, so the planes, union-find and per-worker state are
+	// never run again, so the planes, seam forest and per-worker state are
 	// dead weight a pooled deployment should not keep pinned.
 	e.bp = image.Bitplane{}
 	e.bytep = image.Byteplane{}
-	e.uf = cuf{}
+	e.forest = Forest[uint32]{}
+	e.seam = nil
 	for i := range e.runners {
 		e.runners[i] = seq.RunLabeler{}
-		e.dirty[i] = nil
 		e.shards[i] = nil
 	}
 	e.obs = nil

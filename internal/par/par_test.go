@@ -45,19 +45,50 @@ func mustLabelInto(t *testing.T, e *Engine, im *image.Image, conn image.Connecti
 	return comps
 }
 
+// cupImage returns a 64x64 ∪ whose arms start inside the middle of three
+// strips ([21, 42)) and join only in the strip below. The right arm
+// reaches the middle strip only in its last row, so its fragment there
+// moves only through the last-row retarget of the relabel. flip mirrors
+// it into the ∩, whose arms join only in the strip above.
+func cupImage(flip bool) *image.Image {
+	const n = 64
+	im := image.New(n)
+	fill := func(r0, r1, c0, c1 int) {
+		for r := r0; r <= r1; r++ {
+			row := r
+			if flip {
+				row = n - 1 - r
+			}
+			for c := c0; c <= c1; c++ {
+				im.Pix[row*n+c] = 1
+			}
+		}
+	}
+	fill(24, 56, 8, 11)  // left arm
+	fill(41, 56, 40, 43) // right arm
+	fill(53, 56, 8, 43)  // the bar that joins them
+	return im
+}
+
 // TestLabelMatchesSequentialCatalog checks the engine against the
-// sequential reference on all nine Figure 1 patterns x {Conn4, Conn8} x
-// {Binary, Grey} at several worker counts — exact array compare.
+// sequential reference on all nine Figure 1 patterns plus the ∪ and ∩ of
+// cupImage x {Conn4, Conn8} x {Binary, Grey} at several worker counts —
+// exact array compare.
 func TestLabelMatchesSequentialCatalog(t *testing.T) {
+	names := []string{"cup", "cap"}
+	ims := []*image.Image{cupImage(false), cupImage(true)}
 	for _, id := range image.AllPatterns() {
-		im := image.Generate(id, 64)
+		names = append(names, id.String())
+		ims = append(ims, image.Generate(id, 64))
+	}
+	for i, im := range ims {
 		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 			for _, mode := range []seq.Mode{seq.Binary, seq.Grey} {
 				want := seq.LabelBFS(im, conn, mode)
 				for _, w := range workerCounts {
 					got := mustLabel(t, NewEngine(w), im, conn, mode)
 					requireIdentical(t, got, want,
-						fmt.Sprintf("%v/%v/%v/workers=%d", id, conn, mode, w))
+						fmt.Sprintf("%s/%v/%v/workers=%d", names[i], conn, mode, w))
 				}
 			}
 		}
@@ -94,8 +125,8 @@ func TestLabelRandomAndTiny(t *testing.T) {
 }
 
 // TestEngineReuse runs one engine across differing sizes and modes to prove
-// the scratch (union-find, packed planes, run tables, edge slabs) resets
-// correctly.
+// the scratch (seam forest and edge list, packed planes, run tables)
+// resets correctly.
 func TestEngineReuse(t *testing.T) {
 	e := NewEngine(4)
 	cases := []struct {
@@ -255,37 +286,45 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestUnionFind exercises the concurrent union-find directly: concurrent
-// unites over a chain must produce one set rooted at the minimum.
+// TestUnionFind exercises the seam forest directly: unites over a chain
+// must produce one set rooted at the minimum, repeated unites must report
+// no link, concurrent Root readers (the parallel relabel's access pattern,
+// checked under -race) must all see that minimum, and Reset must restore
+// the ready state.
 func TestUnionFind(t *testing.T) {
-	var u cuf
-	u.reset(1 << 12)
+	var u Forest[uint32]
 	const chain = 1000
+	for pass := 0; pass < 4; pass++ {
+		for i := uint32(1); i < chain; i++ {
+			if linked := u.Unite(i, i+1); linked != (pass == 0) {
+				t.Fatalf("pass %d: Unite(%d, %d) = %v", pass, i, i+1, linked)
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := uint32(1); i < chain; i++ {
-				u.Unite(i, i+1)
+			for i := uint32(1); i <= chain; i++ {
+				if r := u.Root(i); r != 1 {
+					t.Errorf("Root(%d) = %d, want 1", i, r)
+					return
+				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	for i := uint32(1); i <= chain; i++ {
-		if r := u.find(i); r != 1 {
-			t.Fatalf("find(%d) = %d, want 1", i, r)
+		if r := u.Find(i); r != 1 {
+			t.Fatalf("Find(%d) = %d, want 1", i, r)
 		}
 	}
-	// clear restores the ready state.
-	dirty := make([]uint32, 0, 2*chain)
+	// Reset restores the ready state.
+	u.Reset()
 	for i := uint32(1); i <= chain; i++ {
-		dirty = append(dirty, i)
-	}
-	u.clear(dirty)
-	for i := uint32(1); i <= chain; i++ {
-		if r := u.find(i); r != i {
-			t.Fatalf("after clear: find(%d) = %d", i, r)
+		if r := u.Find(i); r != i {
+			t.Fatalf("after Reset: Find(%d) = %d", i, r)
 		}
 	}
 }

@@ -10,12 +10,11 @@ import (
 // into maximal runs — foreground runs over the bit plane in Binary mode,
 // equal-grey-level runs over the byte plane in Grey mode — a strip-local
 // union-find over runs with unite-by-minimum, and span-write painting
-// (Phase 1); the cross-strip border merge in the concurrent union-find
-// (Phase 2); a final update that walks each strip's run table — one find
-// and one span write per run (Phase 3); and the union-find cleanup (Phase
-// 4). Grey runs carry their grey level, so the border merge unites two
-// runs across a strip boundary exactly when a pair of their pixels
-// connects under the mode.
+// (Phase 1); the seam between each pair of adjacent strips, extracted
+// from the two facing pixel rows and united into one sparse forest that
+// holds only the labels reaching a seam (Phase 2); and a strip-local
+// relabel that looks up the forest once per run of a strip's first and
+// last rows and repaints only the runs whose root moved (Phase 3).
 //
 // Exactness: a run's seed label is the global row-major index of its first
 // pixel plus one, and the minimum-index pixel of any component fragment
@@ -75,55 +74,49 @@ func (e *Engine) runLabelInto(im *image.Image, conn image.Connectivity, mode seq
 		return 0
 	}
 
+	// Phase 2 — the seams, walked in order on one goroutine under the
+	// worker guard so an injected panic still comes back typed.
 	e.phase("border_merge", func() {
-		e.borderMerge(out, conn, mode, W)
+		e.guard(0, func(int) { e.borderMerge(im, out, conn, mode, W) })
 	})
 	if e.interrupted() {
 		return 0
 	}
 
-	// Phase 3 — final update over runs: a run is uniformly labeled, so one
-	// find on its painted label and one span rewrite (only when the root
-	// moved) relabel it. Background costs nothing — it has no runs.
+	// Phase 3 — each worker retargets the fragments its boundary rows
+	// reach and repaints their runs; the forest is only read from here on.
 	e.phase("relabel", func() {
 		e.parallelDo(W, func(w int) {
 			e.checkFault("relabel", w, 1)
-			r0, _ := stripBounds(w, W, n)
-			runs := e.runners[w].Runs()
-			rowOff := e.runners[w].RowOffsets()
-			var finds, relab int64
-			for i := 0; i+1 < len(rowOff); i++ {
-				if i&63 == 0 && e.cancelable && e.stop.Load() {
-					return
-				}
-				rowBase := (r0 + i) * n
-				for k := rowOff[i]; k < rowOff[i+1]; k += 2 {
-					s, end := runs[k], runs[k+1]
-					l := out.Lab[rowBase+int(s)]
-					finds++
-					if r := e.uf.find(l); r != l {
-						seq.Fill32(out.Lab[rowBase+int(s):rowBase+int(end)], r)
-						relab += int64(end - s)
-					}
-				}
-			}
-			e.finds[w] = finds
-			e.relab[w] = relab
+			r0, r1 := stripBounds(w, W, n)
+			e.finds[w], e.relab[w] = e.runners[w].Relabel(out.Lab[r0*n:r1*n], n, e.forest.Root)
 		})
 	})
-
 	if e.interrupted() {
 		return 0
 	}
-	comps := e.finish(W)
-	if e.obs != nil {
-		var runs int64
-		for w := 0; w < W; w++ {
-			runs += int64(len(e.runners[w].Runs()) / 2)
-		}
-		e.obs.Add(runCounter(mode), runs)
+
+	total := -e.links
+	for w := 0; w < W; w++ {
+		total += e.comps[w]
 	}
-	return comps
+	if e.obs != nil {
+		var comps, runs, finds, relab int64
+		for w := 0; w < W; w++ {
+			comps += int64(e.comps[w])
+			runs += int64(len(e.runners[w].Runs()) / 2)
+			finds += e.finds[w]
+			relab += e.relab[w]
+		}
+		e.obs.Add(obs.CtrStripComponents, comps)
+		e.obs.Add(runCounter(mode), runs)
+		e.obs.Add(obs.CtrBorderLinks, int64(e.links))
+		e.obs.Add(obs.CtrBorderPairs, e.pairs)
+		e.obs.Add(obs.CtrBorderEdges, e.edges)
+		e.obs.Add(obs.CtrUFFinds, finds)
+		e.obs.Add(obs.CtrRelabeledPixels, relab)
+	}
+	return total
 }
 
 // greyLabelStrip packs rows [r0, r1) into the shared byte plane and grey-

@@ -62,7 +62,3 @@ func (b *BandLabeler) Label(pix []uint32, rows, cols int, conn image.Connectivit
 // Label call — the census accumulation of the streaming pipeline walks runs
 // instead of pixels.
 func (b *BandLabeler) Runs() []int32 { return b.rl.Runs() }
-
-// RowOffsets exposes the per-row offsets into Runs(); see
-// RunLabeler.RowOffsets.
-func (b *BandLabeler) RowOffsets() []int32 { return b.rl.RowOffsets() }

@@ -186,11 +186,6 @@ func (rl *RunLabeler) uniteRowsGrey(prevLo, curLo, curHi int, conn image.Connect
 	return unites
 }
 
-// Values returns the strip's per-run grey levels, indexed like Runs()
-// pairs and valid until the next Label*Strip call. Empty after a binary
-// LabelStrip (binary runs carry no values).
-func (rl *RunLabeler) Values() []uint32 { return rl.vals }
-
 // LabelRunsGrey labels a whole grey image with the run-based two-pass
 // algorithm. The result is pixel-for-pixel identical to LabelBFS with Grey
 // mode. It is the sequential grey run-based baseline; hot paths should

@@ -83,8 +83,8 @@ func Fill32(s []uint32, v uint32) {
 // RunLabeler is a reusable run-based labeler for one horizontal strip of a
 // binary or grey image. It owns all scratch (the flat run table, per-run
 // grey values and seed labels, and the run union-find) and keeps the run
-// table alive after LabelStrip/LabelGreyStrip so a caller can revisit the
-// strip's runs (the parallel engine's final border-fixup pass does). The
+// table alive after LabelStrip/LabelGreyStrip so the strip's runs can be
+// revisited (Relabel, the parallel engine's final update, does). The
 // zero value is ready to use. A RunLabeler is not safe for concurrent use;
 // give each worker its own.
 type RunLabeler struct {
@@ -146,8 +146,9 @@ func (rl *RunLabeler) LabelStrip(bp *image.Bitplane, r0, rows int, conn image.Co
 
 // paint is pass two of both the binary and grey strip labelers: every run
 // is painted with its root's seed label, a span write per run instead of a
-// store per pixel. When clear is true, background gaps are zeroed in the
-// same sweep.
+// store per pixel, and left pointing straight at its root, so Relabel
+// reaches any run's root with one parent read. When clear is true,
+// background gaps are zeroed in the same sweep.
 func (rl *RunLabeler) paint(rows, n int, clear bool, lab []uint32) {
 	for i := 0; i < rows; i++ {
 		row := lab[i*n : (i+1)*n]
@@ -158,13 +159,51 @@ func (rl *RunLabeler) paint(rows, n int, clear bool, lab []uint32) {
 			if clear {
 				zero32(row[col:s])
 			}
-			Fill32(row[s:e], rl.seed[rl.find(k)])
+			r := rl.find(k)
+			rl.parent[k] = r
+			Fill32(row[s:e], rl.seed[r])
 			col = e
 		}
 		if clear {
 			zero32(row[col:])
 		}
 	}
+}
+
+// Relabel moves the strip's fragments onto the roots a cross-strip merge
+// gave them. lab is the strip's rows*n label slice as the last
+// LabelStrip/LabelGreyStrip painted it, and root maps a painted label to
+// its merged root. A fragment joins another strip only through a run in
+// the strip's first or last row, so root is called once per run of those
+// two rows and its answer retargets the run's fragment; every run whose
+// fragment moved is then repainted with one span write. root must not
+// write: the strips of one image relabel concurrently against one shared
+// forest. Polls Stop once per row. Returns the root lookups made and the
+// pixels rewritten.
+func (rl *RunLabeler) Relabel(lab []uint32, n int, root func(uint32) uint32) (finds, relab int64) {
+	rows := len(rl.rowOff) - 1
+	outer := [2]int{0, rows - 1} // one entry when the first row is the last
+	for _, i := range outer[:min(rows, 2)] {
+		for k := rl.rowOff[i] / 2; k < rl.rowOff[i+1]/2; k++ {
+			r := rl.parent[k]
+			rl.seed[r] = root(rl.seed[r])
+			finds++
+		}
+	}
+	for i := 0; i < rows; i++ {
+		if rl.Stop != nil && rl.Stop.Load() {
+			break
+		}
+		row := lab[i*n : (i+1)*n]
+		for k := rl.rowOff[i] / 2; k < rl.rowOff[i+1]/2; k++ {
+			s, e := rl.runs[2*k], rl.runs[2*k+1]
+			if to := rl.seed[rl.parent[k]]; to != row[s] {
+				Fill32(row[s:e], to)
+				relab += int64(e - s)
+			}
+		}
+	}
+	return finds, relab
 }
 
 // uniteRows unites each run of the current row [curLo, curHi) with every
@@ -227,10 +266,6 @@ func (rl *RunLabeler) unite(a, b int32) bool {
 // Runs returns the strip's flat (start, end) column pairs, valid until the
 // next LabelStrip call.
 func (rl *RunLabeler) Runs() []int32 { return rl.runs }
-
-// RowOffsets returns, for each strip row, the offset of its first pair in
-// Runs(); the extra final entry is len(Runs()).
-func (rl *RunLabeler) RowOffsets() []int32 { return rl.rowOff }
 
 // zero32 clears s; the compiler lowers this loop to a memclr.
 func zero32(s []uint32) {

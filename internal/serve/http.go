@@ -40,9 +40,10 @@ type errorResponse struct {
 
 // Handler returns the server's HTTP interface:
 //
-//	POST /label    body: PGM (P5 or P2). Query: mode=binary|grey,
-//	               conn=4|8, census=1, labels=1, out=json|pgm,
-//	               deadline_ms=N. Unknown parameters are ignored.
+//	POST /label    body: binary PGM (P5; any other magic is a 400).
+//	               Query: mode=binary|grey, conn=4|8, census=1,
+//	               labels=1, out=json|pgm, deadline_ms=N. Unknown
+//	               parameters are ignored.
 //	GET  /metrics  JSON array of parimg-metrics/v1 documents: the
 //	               aggregate first, then recent per-request documents.
 //	GET  /healthz  16×16 label round-trip through the scheduler path.

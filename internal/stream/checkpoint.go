@@ -342,7 +342,7 @@ func (p *pipeline) saveCheckpoint(nextBand int) error {
 		edges:      p.edges,
 		prevPix:    p.prevPix,
 		prevLab:    p.prevLab,
-		parent:     p.uf.parent,
+		parent:     p.uf.Parents(),
 		sizes:      p.sizes,
 	}
 	if err := c.writeFile(p.ckptPath); err != nil {
@@ -360,7 +360,11 @@ func (p *pipeline) restore(c *checkpoint) int {
 	p.edges = c.edges
 	p.prevPix = c.prevPix
 	p.prevLab = c.prevLab
-	p.uf.parent = c.parent
+	// Uniting the stored pairs into the fresh forest rebuilds its roots,
+	// and cannot build a cycle whatever the record holds.
+	for child, parent := range c.parent {
+		p.uf.Unite(child, parent)
+	}
 	p.sizes = c.sizes
 	return c.nextBand
 }

@@ -13,6 +13,7 @@ import (
 	"parimg/internal/fault"
 	"parimg/internal/image"
 	"parimg/internal/obs"
+	"parimg/internal/par"
 	"parimg/internal/seq"
 )
 
@@ -38,7 +39,8 @@ const DefaultCheckpointEvery = 16
 type Options struct {
 	// Conn is the connectivity (0 means Conn8).
 	Conn image.Connectivity
-	// Mode selects binary or grey-scale components.
+	// Mode selects binary or grey-scale components; any other value is
+	// rejected with ErrBadInput.
 	Mode seq.Mode
 	// BandRows fixes the band height in rows. 0 derives it from
 	// DefaultMaxBandPixels, with a floor of one row. Bands taller than the
@@ -155,6 +157,9 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 	}
 	if !conn.Valid() {
 		return nil, errs.Bad(op, "connectivity %d is not 4 or 8", int(conn))
+	}
+	if opt.Mode != seq.Binary && opt.Mode != seq.Grey {
+		return nil, errs.Bad(op, "invalid mode %d", int(opt.Mode))
 	}
 	hdr, err := image.ReadPGMHeader(r)
 	if err != nil {
@@ -378,10 +383,9 @@ func (p *pipeline) census(topK int) (*Result, error) {
 			t := p.rec.StartPhase()
 			p.botLab = cur.LiftRow(0, p.botLab)
 			var pairs int64
-			var links int
-			p.edgeBuf, pairs, links = MergeAdjacent(p.uf,
-				p.prevPix, p.pix[:W], p.prevLab, p.botLab,
-				p.conn, p.mode, &p.wd.stop, p.edgeBuf)
+			p.edgeBuf, pairs = par.AppendBoundaryEdges(p.edgeBuf[:0],
+				p.prevPix, p.pix[:W], p.prevLab, p.botLab, p.conn, p.mode, &p.wd.stop)
+			links := par.ResolveBoundary(p.edgeBuf, p.uf, &p.wd.stop)
 			p.rec.EndPhase("band_merge", "", t)
 			p.rec.Add(obs.CtrBorderPairs, pairs)
 			p.rec.Add(obs.CtrBorderEdges, int64(len(p.edgeBuf)/2))

@@ -312,6 +312,22 @@ func TestStreamTruncated(t *testing.T) {
 	}
 }
 
+// TestStreamRejectsUnknownMode: an unknown mode fails typed before any
+// band is read. Unchecked, it would label bands as binary but merge seams
+// with grey semantics, so the component count of grey 1 over grey 2 would
+// depend on the band height.
+func TestStreamRejectsUnknownMode(t *testing.T) {
+	pix := make([]uint32, 16)
+	pix[1*4+1], pix[2*4+1] = 1, 2
+	pgm := encodePGM(pix, 4, 4, 255)
+	for _, bandRows := range []int{1, 4} {
+		_, err := Label(bytes.NewReader(pgm), nil, Options{Mode: seq.Mode(7), BandRows: bandRows})
+		if !errors.Is(err, errs.ErrBadInput) {
+			t.Fatalf("%d-row bands: mode 7 error = %v, want ErrBadInput", bandRows, err)
+		}
+	}
+}
+
 // TestStreamMetrics checks the observability wiring: per-band phases, the
 // bands counter, and a document that passes the schema validator.
 func TestStreamMetrics(t *testing.T) {
@@ -411,7 +427,8 @@ func TestStreamStallWatchdog(t *testing.T) {
 }
 
 // TestUnionFind64 pins the sparse structure's unite-by-minimum contract
-// over labels beyond the 32-bit space.
+// over labels beyond the 32-bit space, through the stream-side alias and
+// constructor.
 func TestUnionFind64(t *testing.T) {
 	u := NewUnionFind64()
 	const big = uint64(1) << 40
@@ -429,7 +446,7 @@ func TestUnionFind64(t *testing.T) {
 	if r := u.Find(42); r != 42 {
 		t.Fatalf("untouched label root = %d, want itself", r)
 	}
-	if u.Len() == 0 {
+	if len(u.Parents()) == 0 {
 		t.Fatalf("merge state empty after links")
 	}
 }

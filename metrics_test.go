@@ -50,7 +50,7 @@ func TestParMetricsPhasesCoverTotal(t *testing.T) {
 			best = covered
 		}
 		if covered >= 0.95 && covered <= 1.0 {
-			for _, name := range []string{"strip_label", "border_merge", "relabel", "cleanup"} {
+			for _, name := range []string{"strip_label", "border_merge", "relabel"} {
 				if m.WallPhaseNS(name) <= 0 {
 					t.Errorf("phase %q not recorded", name)
 				}

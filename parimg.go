@@ -555,11 +555,11 @@ func LabelSequential(im *Image, conn Connectivity, mode Mode) (*Labels, error) {
 // Label labels the connected components of im on the host-parallel
 // engine: the paper's tile-labeling-plus-border-merge decomposition
 // executed on GOMAXPROCS worker goroutines for real wall-clock speedup,
-// with border merges resolved by a concurrent union-find instead of a
-// simulated message-passing machine. The labeling is pixel-for-pixel
-// identical to LabelSequential (and to Simulator.Label). Only Conn, Mode
-// and Metrics of the options are honored; the remaining fields configure
-// simulator-only ablations.
+// with border merges resolved in one sparse union-find over the labels
+// that reach a seam instead of a simulated message-passing machine. The
+// labeling is pixel-for-pixel identical to LabelSequential (and to
+// Simulator.Label). Only Conn, Mode and Metrics of the options are
+// honored; the remaining fields configure simulator-only ablations.
 //
 // A malformed image (nil, wrong buffer length, side outside (0, MaxSide]),
 // an unknown connectivity or an unknown mode returns an error from the
