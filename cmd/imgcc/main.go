@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -32,36 +33,45 @@ import (
 
 func main() { os.Exit(cli.Run("imgcc", run)) }
 
-func run() error {
+func run() error { return runArgs(flag.CommandLine, os.Args[1:]) }
+
+// streamOnly names the flags only the -stream path reads; without -stream
+// they are rejected rather than silently dropped.
+var streamOnly = []string{"out", "census-json", "checkpoint", "checkpoint-every", "resume", "band-rows"}
+
+// runArgs registers imgcc's flags on fs, parses args and runs the command.
+func runArgs(fs *flag.FlagSet, args []string) error {
 	var (
-		patternName = cli.PatternFlag(flag.CommandLine)
-		random      = cli.RandomFlag(flag.CommandLine)
-		darpa       = cli.DarpaFlag(flag.CommandLine)
-		inFile      = cli.InFlag(flag.CommandLine)
-		n           = cli.NFlag(flag.CommandLine)
-		p           = cli.PFlag(flag.CommandLine)
-		machineName = cli.MachineFlag(flag.CommandLine)
-		conn        = flag.Int("conn", 8, "connectivity: 4 or 8")
-		grey        = flag.Bool("grey", false, "grey-scale components (like-colored pixels connect)")
-		seed        = cli.SeedFlag(flag.CommandLine)
-		top         = flag.Int("top", 10, "print the sizes of the largest components")
-		direct      = flag.Bool("direct-dist", false, "use the unimproved direct change distribution")
-		noShadow    = flag.Bool("no-shadow", false, "disable shadow managers")
-		fullRelabel = flag.Bool("full-relabel", false, "relabel whole tiles every merge (disable limited updating)")
-		compare     = flag.Bool("compare", false, "run all three parallel algorithms and compare")
-		backend     = cli.BackendFlag(flag.CommandLine)
-		workers     = cli.WorkersFlag(flag.CommandLine)
-		metricsPath = cli.MetricsFlag(flag.CommandLine)
-		timeout     = cli.TimeoutFlag(flag.CommandLine)
-		streaming   = cli.StreamFlag(flag.CommandLine)
-		bandRows    = cli.BandRowsFlag(flag.CommandLine)
-		outFile     = cli.OutFlag(flag.CommandLine)
-		checkpoint  = cli.CheckpointFlag(flag.CommandLine)
-		ckptEvery   = cli.CheckpointEveryFlag(flag.CommandLine)
-		resume      = cli.ResumeFlag(flag.CommandLine)
-		censusJSON  = cli.CensusJSONFlag(flag.CommandLine)
+		patternName = cli.PatternFlag(fs)
+		random      = cli.RandomFlag(fs)
+		darpa       = cli.DarpaFlag(fs)
+		inFile      = cli.InFlag(fs)
+		n           = cli.NFlag(fs)
+		p           = cli.PFlag(fs)
+		machineName = cli.MachineFlag(fs)
+		conn        = fs.Int("conn", 8, "connectivity: 4 or 8")
+		grey        = fs.Bool("grey", false, "grey-scale components (like-colored pixels connect)")
+		seed        = cli.SeedFlag(fs)
+		top         = fs.Int("top", 10, "print the sizes of the largest components")
+		direct      = fs.Bool("direct-dist", false, "use the unimproved direct change distribution")
+		noShadow    = fs.Bool("no-shadow", false, "disable shadow managers")
+		fullRelabel = fs.Bool("full-relabel", false, "relabel whole tiles every merge (disable limited updating)")
+		compare     = fs.Bool("compare", false, "run all three parallel algorithms and compare")
+		backend     = cli.BackendFlag(fs)
+		workers     = cli.WorkersFlag(fs)
+		metricsPath = cli.MetricsFlag(fs)
+		timeout     = cli.TimeoutFlag(fs)
+		streaming   = cli.StreamFlag(fs)
+		bandRows    = cli.BandRowsFlag(fs)
+		outFile     = cli.OutFlag(fs)
+		checkpoint  = cli.CheckpointFlag(fs)
+		ckptEvery   = cli.CheckpointEveryFlag(fs)
+		resume      = cli.ResumeFlag(fs)
+		censusJSON  = cli.CensusJSONFlag(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *streaming {
 		return runStream(streamConfig{
@@ -71,6 +81,16 @@ func run() error {
 			checkpoint: *checkpoint, checkpointEvery: *ckptEvery,
 			resume: *resume, censusJSON: *censusJSON,
 		})
+	}
+
+	var stray string
+	fs.Visit(func(f *flag.Flag) {
+		if stray == "" && slices.Contains(streamOnly, f.Name) {
+			stray = f.Name
+		}
+	})
+	if stray != "" {
+		return fmt.Errorf("-%s applies only to -stream; add -stream or drop -%s", stray, stray)
 	}
 
 	im, err := loadImage(*patternName, *random, *darpa, *inFile, *n, *seed)
@@ -163,14 +183,14 @@ func runHost(ctx context.Context, backend string, im *parimg.Image, opt parimg.L
 			eng.SetObserver(rec)
 		}
 		start := time.Now()
-		_, err := eng.LabelIntoContext(ctx, im, connOf(opt), opt.Mode, labels)
+		comps, err := eng.LabelIntoContext(ctx, im, connOf(opt), opt.Mode, labels)
 		elapsed = time.Since(start)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("host-parallel, workers=%d (GOMAXPROCS=%d), %dx%d image, %v, %v mode\n",
 			workers, runtime.GOMAXPROCS(0), im.N, im.N, connOf(opt), opt.Mode)
-		fmt.Printf("%d connected components, wall time %v\n", labels.Components(), elapsed)
+		fmt.Printf("%d connected components, wall time %v\n", comps, elapsed)
 	} else {
 		start := time.Now()
 		labels, err = parimg.LabelSequential(im, connOf(opt), opt.Mode)

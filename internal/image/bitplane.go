@@ -14,29 +14,24 @@ import "math/bits"
 // pixel loop, turning the scan phase from one branch per pixel into a
 // couple of bit operations per 64 pixels.
 type Bitplane struct {
-	// N is the image side length.
+	// N is the row width in pixels (the image side of a square plane).
 	N int
 	// WPR is the number of words per row: (N + 63) / 64.
 	WPR int
-	// Words holds the N*WPR row-major packed words.
+	// Words holds the packed rows, WPR words each, row-major.
 	Words []uint64
 }
 
 // NewBitplane packs im into a fresh bitplane.
 func NewBitplane(im *Image) *Bitplane {
 	var b Bitplane
-	b.Reset(im.N)
-	b.SetRows(im, 0, im.N)
+	b.ResetRect(im.N, im.N)
+	b.SetRowsPix(im.Pix, 0, im.N)
 	return &b
 }
 
-// Reset sizes the bitplane for an n x n image, reusing the backing array
-// when large enough. Word contents are unspecified until SetRows covers
-// them; only growth allocates.
-func (b *Bitplane) Reset(n int) { b.ResetRect(n, n) }
-
-// ResetRect sizes the bitplane for a rectangular rows x cols tile (the
-// band windows of the streaming pipeline are rarely square), reusing the
+// ResetRect sizes the bitplane for a rectangular rows x cols window (a
+// band, or one strip of a band), reusing the
 // backing array when large enough. Word contents are unspecified until
 // SetRowsPix covers them; only growth allocates.
 func (b *Bitplane) ResetRect(rows, cols int) {
@@ -50,14 +45,10 @@ func (b *Bitplane) ResetRect(rows, cols int) {
 	b.Words = b.Words[:words]
 }
 
-// SetRows packs rows [r0, r1) of im into the bitplane, overwriting every
-// word of those rows (no prior clear needed). Disjoint row ranges may be
-// packed from different goroutines concurrently.
-func (b *Bitplane) SetRows(im *Image, r0, r1 int) { b.SetRowsPix(im.Pix, r0, r1) }
-
-// SetRowsPix is SetRows over a raw row-major pixel buffer with the plane's
-// own width as its stride — the form the streaming pipeline holds band
-// windows in, where no resident *Image exists.
+// SetRowsPix packs rows [r0, r1) of a row-major pixel buffer whose stride
+// is the plane's own width into the bitplane, overwriting every word of
+// those rows (no prior clear needed). Disjoint row ranges may be packed
+// from different goroutines concurrently.
 func (b *Bitplane) SetRowsPix(pix []uint32, r0, r1 int) {
 	n := b.N
 	for i := r0; i < r1; i++ {

@@ -56,23 +56,23 @@ func TestBitplaneSetRowsReuse(t *testing.T) {
 	}
 	empty := New(70)
 	var b Bitplane
-	b.Reset(70)
-	b.SetRows(full, 0, 70)
-	b.Reset(70)
-	b.SetRows(empty, 0, 70)
+	b.ResetRect(70, 70)
+	b.SetRowsPix(full.Pix, 0, 70)
+	b.ResetRect(70, 70)
+	b.SetRowsPix(empty.Pix, 0, 70)
 	if got := b.OnesCount(); got != 0 {
 		t.Fatalf("after repacking empty image: %d bits set", got)
 	}
 }
 
-// TestBitplaneStripedSetRows packs disjoint row ranges separately (the
-// parallel engine's per-strip packing) and checks the union is complete.
+// TestBitplaneStripedSetRows packs disjoint row ranges separately and
+// checks the union is complete.
 func TestBitplaneStripedSetRows(t *testing.T) {
 	im := RandomBinary(97, 0.4, 7)
 	var b Bitplane
-	b.Reset(97)
+	b.ResetRect(97, 97)
 	for _, r := range [][2]int{{0, 31}, {31, 64}, {64, 97}} {
-		b.SetRows(im, r[0], r[1])
+		b.SetRowsPix(im.Pix, r[0], r[1])
 	}
 	want := NewBitplane(im)
 	for i, w := range b.Words {
@@ -82,15 +82,15 @@ func TestBitplaneStripedSetRows(t *testing.T) {
 	}
 }
 
-func BenchmarkBitplaneSetRows(b *testing.B) {
+func BenchmarkBitplaneSetRowsPix(b *testing.B) {
 	for _, n := range []int{512, 1024} {
 		im := RandomBinary(n, 0.5, 3)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var bp Bitplane
-			bp.Reset(n)
+			bp.ResetRect(n, n)
 			b.SetBytes(int64(n * n))
 			for i := 0; i < b.N; i++ {
-				bp.SetRows(im, 0, n)
+				bp.SetRowsPix(im.Pix, 0, n)
 			}
 		})
 	}

@@ -15,16 +15,16 @@ package image
 // comparison per eight pixels and drops to a per-byte fine scan only
 // inside words that contain a boundary.
 //
-// A byte cannot represent grey levels above 255. SetRows reports whether
-// any packed pixel was truncated; callers with such "wide" strips must
-// take a full-width extraction path over Image.Pix instead (the run
-// labeler's LabelGreyStrip does exactly that).
+// A byte cannot represent grey levels above 255. SetRowsPix reports
+// whether any packed pixel was truncated; callers with such "wide" strips
+// must take a full-width extraction path over the raw pixels instead (the
+// run labeler's LabelGreyStrip does exactly that).
 type Byteplane struct {
-	// N is the image side length.
+	// N is the row width in pixels (the image side of a square plane).
 	N int
 	// WPR is the number of words per row: (N + 7) / 8.
 	WPR int
-	// Words holds the N*WPR row-major packed words.
+	// Words holds the packed rows, WPR words each, row-major.
 	Words []uint64
 }
 
@@ -33,18 +33,13 @@ type Byteplane struct {
 // caller must not use them for value comparisons).
 func NewByteplane(im *Image) (*Byteplane, bool) {
 	var b Byteplane
-	b.Reset(im.N)
-	wide := b.SetRows(im, 0, im.N)
+	b.ResetRect(im.N, im.N)
+	wide := b.SetRowsPix(im.Pix, 0, im.N)
 	return &b, wide
 }
 
-// Reset sizes the byteplane for an n x n image, reusing the backing array
-// when large enough. Word contents are unspecified until SetRows covers
-// them; only growth allocates.
-func (b *Byteplane) Reset(n int) { b.ResetRect(n, n) }
-
-// ResetRect sizes the byteplane for a rectangular rows x cols tile (the
-// band windows of the streaming pipeline are rarely square), reusing the
+// ResetRect sizes the byteplane for a rectangular rows x cols window (a
+// band, or one strip of a band), reusing the
 // backing array when large enough. Word contents are unspecified until
 // SetRowsPix covers them; only growth allocates.
 func (b *Byteplane) ResetRect(rows, cols int) {
@@ -58,19 +53,13 @@ func (b *Byteplane) ResetRect(rows, cols int) {
 	b.Words = b.Words[:words]
 }
 
-// SetRows packs rows [r0, r1) of im into the byteplane, overwriting every
-// word of those rows (no prior clear needed), and reports whether any
-// pixel's grey level exceeded 255 — such pixels are truncated to their low
-// byte, so on a true return the packed rows must not be used for grey
-// value comparisons. Disjoint row ranges may be packed from different
+// SetRowsPix packs rows [r0, r1) of a row-major pixel buffer whose stride
+// is the plane's own width into the byteplane, overwriting every word of
+// those rows (no prior clear needed), and reports whether any pixel's grey
+// level exceeded 255 — such pixels are truncated to their low byte, so on
+// a true return the packed rows must not be used for grey value
+// comparisons. Disjoint row ranges may be packed from different
 // goroutines concurrently.
-func (b *Byteplane) SetRows(im *Image, r0, r1 int) (wide bool) {
-	return b.SetRowsPix(im.Pix, r0, r1)
-}
-
-// SetRowsPix is SetRows over a raw row-major pixel buffer with the plane's
-// own width as its stride — the form the streaming pipeline holds band
-// windows in, where no resident *Image exists.
 func (b *Byteplane) SetRowsPix(pix []uint32, r0, r1 int) (wide bool) {
 	n := b.N
 	for i := r0; i < r1; i++ {

@@ -43,16 +43,16 @@ func TestByteplanePadsTailBytesZero(t *testing.T) {
 	for i := range big.Pix {
 		big.Pix[i] = 255
 	}
-	bp.Reset(16)
-	bp.SetRows(big, 0, 16)
+	bp.ResetRect(16, 16)
+	bp.SetRowsPix(big.Pix, 0, 16)
 
 	// Repack a smaller all-foreground image whose width is mid-word.
 	im := New(11)
 	for i := range im.Pix {
 		im.Pix[i] = 9
 	}
-	bp.Reset(11)
-	if bp.SetRows(im, 0, 11) {
+	bp.ResetRect(11, 11)
+	if bp.SetRowsPix(im.Pix, 0, 11) {
 		t.Fatal("8-bit image reported wide")
 	}
 	for i := 0; i < 11; i++ {
@@ -65,18 +65,18 @@ func TestByteplanePadsTailBytesZero(t *testing.T) {
 	}
 }
 
-// TestByteplaneWideDetection checks that SetRows reports truncation exactly
+// TestByteplaneWideDetection checks that SetRowsPix reports truncation exactly
 // when a pixel exceeds a byte, and that only the strips containing such
 // pixels report it.
 func TestByteplaneWideDetection(t *testing.T) {
 	im := New(8)
 	im.Set(6, 3, 256) // truncates to 0
 	var bp Byteplane
-	bp.Reset(8)
-	if bp.SetRows(im, 0, 4) {
+	bp.ResetRect(8, 8)
+	if bp.SetRowsPix(im.Pix, 0, 4) {
 		t.Fatal("rows [0,4) have no wide pixels but reported wide")
 	}
-	if !bp.SetRows(im, 4, 8) {
+	if !bp.SetRowsPix(im.Pix, 4, 8) {
 		t.Fatal("rows [4,8) contain a wide pixel but reported narrow")
 	}
 	if _, wide := NewByteplane(im); !wide {
@@ -92,15 +92,15 @@ func TestByteplaneWideDetection(t *testing.T) {
 // contents correct.
 func TestByteplaneResetReuse(t *testing.T) {
 	var bp Byteplane
-	bp.Reset(64)
+	bp.ResetRect(64, 64)
 	base := &bp.Words[:cap(bp.Words)][0]
 	for _, n := range []int{64, 16, 33, 64} {
 		im := RandomGrey(n, 200, uint64(n))
-		bp.Reset(n)
+		bp.ResetRect(n, n)
 		if &bp.Words[:cap(bp.Words)][0] != base {
-			t.Fatalf("Reset(%d) reallocated", n)
+			t.Fatalf("ResetRect(%d, %d) reallocated", n, n)
 		}
-		bp.SetRows(im, 0, n)
+		bp.SetRowsPix(im.Pix, 0, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if got, want := bp.Get(i, j), byte(im.Pix[i*n+j]); got != want {
@@ -112,20 +112,20 @@ func TestByteplaneResetReuse(t *testing.T) {
 }
 
 // TestByteplaneConcurrentSetRows packs disjoint strips from several
-// goroutines, as the parallel engine's phase 1 does, and verifies the
-// result — run with -race this doubles as the data-race check.
+// goroutines and verifies the result — run with -race this doubles as the
+// data-race check.
 func TestByteplaneConcurrentSetRows(t *testing.T) {
 	const n, W = 67, 5
 	im := RandomGrey(n, 256, 99)
 	var bp Byteplane
-	bp.Reset(n)
+	bp.ResetRect(n, n)
 	var wg sync.WaitGroup
 	for w := 0; w < W; w++ {
 		r0, r1 := w*n/W, (w+1)*n/W
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bp.SetRows(im, r0, r1)
+			bp.SetRowsPix(im.Pix, r0, r1)
 		}()
 	}
 	wg.Wait()

@@ -197,7 +197,10 @@ type Metrics struct {
 	// the phases recorded before the abort are kept, closed by a
 	// zero-length "aborted" span.
 	Aborted string `json:"aborted,omitempty"`
-	// Phases are the recorded spans, in record order.
+	// Phases are the recorded spans, in first-recorded order. Wall phases
+	// recorded more than once under one name and parent are folded into a
+	// single entry holding their summed time, so a document's size is set
+	// by the phases a run has, not by how often it ran them.
 	Phases []Phase `json:"phases,omitempty"`
 	// Counters maps counter names to accumulated values; zero counters
 	// are omitted.
@@ -386,10 +389,14 @@ type Recorder struct {
 
 	mu        sync.Mutex
 	phases    []Phase
+	wallAt    map[phaseKey]int // index in phases of each folded wall phase
 	comm      map[string]*commCell
 	commOrder []string
 	aborted   string
 }
+
+// phaseKey identifies a wall phase for folding: its name and parent.
+type phaseKey struct{ name, parent string }
 
 // NewRecorder returns an empty, enabled recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
@@ -410,6 +417,7 @@ func (r *Recorder) Reset() {
 	}
 	r.mu.Lock()
 	r.phases = r.phases[:0]
+	clear(r.wallAt)
 	r.comm = nil
 	r.commOrder = r.commOrder[:0]
 	r.aborted = ""
@@ -476,7 +484,10 @@ func (r *Recorder) StartPhase() time.Time {
 
 // EndPhase records the wall-clock phase named name as having started at
 // start (a StartPhase result) and ended now. Parent "" makes it a
-// top-level phase. A no-op on the nil recorder.
+// top-level phase. A phase already recorded under the same name and
+// parent since the last Reset gains the time instead of a second entry,
+// so a loop that times every iteration (the streaming pipeline's bands)
+// keeps one entry per phase. A no-op on the nil recorder.
 func (r *Recorder) EndPhase(name, parent string, start time.Time) {
 	if r == nil {
 		return
@@ -485,8 +496,17 @@ func (r *Recorder) EndPhase(name, parent string, start time.Time) {
 	if d < 0 {
 		d = 0
 	}
+	k := phaseKey{name, parent}
 	r.mu.Lock()
-	r.phases = append(r.phases, Phase{Name: name, Parent: parent, WallNS: d.Nanoseconds()})
+	if i, ok := r.wallAt[k]; ok {
+		r.phases[i].WallNS += d.Nanoseconds()
+	} else {
+		if r.wallAt == nil {
+			r.wallAt = make(map[phaseKey]int)
+		}
+		r.wallAt[k] = len(r.phases)
+		r.phases = append(r.phases, Phase{Name: name, Parent: parent, WallNS: d.Nanoseconds()})
+	}
 	r.mu.Unlock()
 }
 

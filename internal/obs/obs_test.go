@@ -101,6 +101,35 @@ func TestPhaseRecording(t *testing.T) {
 	}
 }
 
+// TestEndPhaseFoldsRepeats pins the fold that keeps a document's size
+// independent of how often a phase ran: two EndPhase calls under one name
+// and parent give one entry holding the summed time, a different parent
+// keeps its own entry, and Reset forgets the folded entries.
+func TestEndPhaseFoldsRepeats(t *testing.T) {
+	r := NewRecorder()
+	now := time.Now()
+	r.EndPhase("band_decode", "", now.Add(-2*time.Millisecond))
+	r.EndPhase("band_decode", "", now.Add(-3*time.Millisecond))
+	r.EndPhase("band_decode", "pass", now)
+	m := r.Snapshot()
+	if len(m.Phases) != 2 {
+		t.Fatalf("phases = %+v, want one band_decode entry per parent", m.Phases)
+	}
+	if got := m.Phases[0]; got.Name != "band_decode" || got.Parent != "" || got.WallNS < int64(5*time.Millisecond) {
+		t.Fatalf("folded phase = %+v, want band_decode holding >= 5ms", got)
+	}
+	if got := m.WallPhaseNS("band_decode"); got != m.Phases[0].WallNS {
+		t.Fatalf("WallPhaseNS(band_decode) = %d, want the folded %d", got, m.Phases[0].WallNS)
+	}
+	r.Reset()
+	r.EndPhase("band_merge", "", r.StartPhase())
+	r.EndPhase("band_decode", "", r.StartPhase())
+	m = r.Snapshot()
+	if len(m.Phases) != 2 || m.Phases[0].Name != "band_merge" || m.Phases[1].Name != "band_decode" {
+		t.Fatalf("after Reset: phases = %+v, want fresh band_merge and band_decode entries", m.Phases)
+	}
+}
+
 func TestResetStartsNewEpoch(t *testing.T) {
 	r := NewRecorder()
 	r.Add(CtrRuns, 7)

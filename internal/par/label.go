@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"parimg/internal/errs"
 	"parimg/internal/image"
@@ -10,14 +11,19 @@ import (
 )
 
 // checkLabelInput validates the (image, connectivity, mode) triple shared by
-// every labeling entry point. Image.Check enforces the structural invariants
-// including the n <= MaxSide label-space bound: seed labels are the global
-// row-major index + 1 in uint32, so a larger side would silently wrap
-// (65536*65536 == 2^32) and collide labels across strips.
+// the resident labeling entry points. Image.Check enforces the structural
+// invariants including the n <= MaxSide label-space bound: seed labels are
+// the global row-major index + 1 in uint32, so a larger side would silently
+// wrap (65536*65536 == 2^32) and collide labels across strips.
 func checkLabelInput(op string, im *image.Image, conn image.Connectivity, mode seq.Mode) error {
 	if err := im.Check(); err != nil {
 		return fmt.Errorf("par: %w", err)
 	}
+	return checkConnMode(op, conn, mode)
+}
+
+// checkConnMode rejects an unknown connectivity or mode.
+func checkConnMode(op string, conn image.Connectivity, mode seq.Mode) error {
 	if !conn.Valid() {
 		return errs.Bad(op, "invalid connectivity %d (want 4 or 8)", int(conn))
 	}
@@ -43,7 +49,7 @@ func (e *Engine) LabelContext(ctx context.Context, im *image.Image,
 		return nil, err
 	}
 	out := image.NewLabels(im.N)
-	if _, err := e.labelInto(ctx, "par.Label", im, conn, mode, out, false); err != nil {
+	if _, err := e.labelInto(ctx, "par.Label", im.Pix, im.N, im.N, conn, mode, out.Lab, false); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -66,25 +72,56 @@ func (e *Engine) LabelIntoContext(ctx context.Context, im *image.Image,
 		return 0, errs.Geometry("par.LabelInto", im.N, 0,
 			"labeling side %d does not match image side %d", out.N, im.N)
 	}
-	return e.labelInto(ctx, "par.LabelInto", im, conn, mode, out, true)
+	return e.labelInto(ctx, "par.LabelInto", im.Pix, im.N, im.N, conn, mode, out.Lab, true)
 }
 
-// labelInto owns the call's cancellation lifecycle around the run engine:
-// begin/end bracket the phases, and a run error (worker panic, context
-// expiry, injected fault) comes back as a typed RunError. Every call
-// starts from fresh per-call state (run tables, an emptied seam forest),
-// so an interrupted call leaves the engine immediately reusable.
-func (e *Engine) labelInto(ctx context.Context, op string, im *image.Image,
-	conn image.Connectivity, mode seq.Mode, out *image.Labels, clear bool) (int, error) {
+// LabelBand labels the rows x cols band in pix (row-major) into lab and
+// returns the number of components within the band. Labels are band-local
+// seeds: each component carries the band row-major index of its first
+// pixel plus one, exactly what seq.BandLabeler.Label paints, and lab need
+// not be pre-zeroed. Band labels must fit uint32, so rows*cols may not
+// exceed math.MaxUint32. A non-positive dimension or a pixel or label
+// buffer that does not hold rows*cols elements returns an error wrapping
+// errs.ErrGeometry, a band past the uint32 seed space one wrapping
+// errs.ErrLabelOverflow, and an unknown connectivity or mode one wrapping
+// errs.ErrBadInput — all before any labeling work. Cancellation and run
+// errors follow LabelContext; on a run error lab is undefined.
+func (e *Engine) LabelBand(ctx context.Context, pix []uint32, rows, cols int,
+	conn image.Connectivity, mode seq.Mode, lab []uint32) (int, error) {
+	const op = "par.LabelBand"
+	if rows < 1 || cols < 1 {
+		return 0, errs.Geometry(op, 0, 0, "band of %d x %d pixels", rows, cols)
+	}
+	if int64(rows)*int64(cols) > math.MaxUint32 {
+		return 0, &errs.InputError{Op: op, Kind: errs.ErrLabelOverflow,
+			Detail: fmt.Sprintf("band of %d x %d pixels exceeds the uint32 seed space", rows, cols)}
+	}
+	if len(pix) != rows*cols || len(lab) != rows*cols {
+		return 0, errs.Geometry(op, 0, 0, "band of %d x %d pixels given %d pixels and %d labels",
+			rows, cols, len(pix), len(lab))
+	}
+	if err := checkConnMode(op, conn, mode); err != nil {
+		return 0, err
+	}
+	return e.labelInto(ctx, op, pix, rows, cols, conn, mode, lab, true)
+}
+
+// labelInto owns the call's cancellation lifecycle around the strip
+// engine: begin/end bracket the phases, and a run error (worker panic,
+// context expiry, injected fault) comes back as a typed RunError. Every
+// call starts from fresh per-call state (run tables, an emptied seam
+// forest), so an interrupted call leaves the engine immediately reusable.
+func (e *Engine) labelInto(ctx context.Context, op string, pix []uint32, rows, cols int,
+	conn image.Connectivity, mode seq.Mode, lab []uint32, clear bool) (int, error) {
 	if err := e.begin(op, ctx); err != nil {
 		return 0, err
 	}
 	defer e.end()
 	flag := e.stopFlag()
-	for i := range e.runners {
-		e.runners[i].Stop = flag
+	for i := range e.bands {
+		e.bands[i].SetStop(flag)
 	}
-	comps := e.runLabelInto(im, conn, mode, out, clear)
+	comps := e.labelBand(pix, rows, cols, conn, mode, lab, clear)
 	if err := e.runError(); err != nil {
 		return 0, err
 	}
@@ -97,13 +134,12 @@ func (e *Engine) labelInto(ctx context.Context, op string, im *image.Image,
 // boundary w (between strips w-1 and w) it extracts the union edges of the
 // two facing pixel rows with AppendBoundaryEdges and unites them into the
 // forest with ResolveBoundary — the same seam the streaming pipeline runs
-// between bands. Strip labels must already be painted into out. Only
+// between bands. Strip labels must already be painted into lab. Only
 // labels that reach a seam enter the forest, and the whole seam is a
 // small fraction of a call, so it gains nothing from parallelism. Leaves
 // the link, pair and edge tallies in e.links, e.pairs and e.edges.
-func (e *Engine) borderMerge(im *image.Image, out *image.Labels,
+func (e *Engine) borderMerge(pix, lab []uint32, rows, cols int,
 	conn image.Connectivity, mode seq.Mode, W int) {
-	n := im.N
 	stop := e.stopFlag()
 	e.forest.Reset()
 	e.links, e.pairs, e.edges = 0, 0, 0
@@ -112,11 +148,11 @@ func (e *Engine) borderMerge(im *image.Image, out *image.Labels,
 		if stop != nil && stop.Load() {
 			return
 		}
-		r, _ := stripBounds(w, W, n)
-		top, bot := (r-1)*n, r*n
+		r, _ := stripBounds(w, W, rows)
+		top, bot := (r-1)*cols, r*cols
 		var pairs int64
-		e.seam, pairs = AppendBoundaryEdges(e.seam[:0], im.Pix[top:bot], im.Pix[bot:bot+n],
-			out.Lab[top:bot], out.Lab[bot:bot+n], conn, mode, stop)
+		e.seam, pairs = AppendBoundaryEdges(e.seam[:0], pix[top:bot], pix[bot:bot+cols],
+			lab[top:bot], lab[bot:bot+cols], conn, mode, stop)
 		e.pairs += pairs
 		e.edges += int64(len(e.seam) / 2)
 		e.links += ResolveBoundary(e.seam, &e.forest, stop)

@@ -9,16 +9,19 @@
 // shared memory the way modern multicore CCL work does (Gupta et al.;
 // Liu-Tarjan):
 //
-//   - Labeling: the image is split into one horizontal strip per worker
-//     (contiguous in the row-major pixel array, so strips are labeled in
-//     place with no scatter/gather). Each worker packs its strip's rows,
-//     scans them into maximal runs and labels the runs with a strip-local
-//     union-find, using globally unique seed labels (global row-major index
-//     of a run's first pixel + 1). Each strip boundary is then reduced to
-//     the union edges of its two facing pixel rows, which are united in
-//     order into one sparse forest holding only the labels that reach a
-//     seam, and a final parallel pass retargets the fragments each strip's
-//     first and last rows reach and repaints just their runs.
+//   - Labeling: the engine labels any rows x cols band — a resident image
+//     is the n x n band, and the out-of-core pipeline (internal/stream)
+//     hands it one band window at a time. The band is split into one
+//     horizontal strip per worker (contiguous in the row-major pixel
+//     array, so strips are labeled in place with no scatter/gather). Each
+//     worker labels its strip with its own seq.BandLabeler: it packs the
+//     strip's rows, scans them into maximal runs and labels the runs with
+//     a strip-local union-find, using band-unique seed labels (band
+//     row-major index of a run's first pixel + 1). Each strip boundary is
+//     then reduced to the union edges of its two facing pixel rows, which
+//     are united in order into one sparse forest holding only the labels
+//     that reach a seam, and a final parallel pass retargets the fragments
+//     each strip's first and last rows reach and repaints just their runs.
 //     Unite-by-minimum makes every root the component's minimum seed
 //     label, so the result is pixel-for-pixel identical to seq.LabelBFS,
 //     not merely equivalent up to renaming.
@@ -27,10 +30,10 @@
 //     arrays, merged pairwise in a tree of log(workers) parallel rounds,
 //     the shared-memory analogue of the paper's Section 4 transpose+combine.
 //
-// An Engine owns all scratch (per-worker run tables, the packed planes,
-// the seam forest and edge list, histogram shards) and reuses it across
-// calls; the package-level Label and Histogram draw engines from a Pool
-// and are safe for concurrent use.
+// An Engine owns all scratch (per-worker band labelers with their packed
+// planes and run tables, the seam forest and edge list, histogram shards)
+// and reuses it across calls; the package-level Label and Histogram draw
+// engines from a Pool and are safe for concurrent use.
 package par
 
 import (
@@ -54,20 +57,18 @@ import (
 // functions Label and Histogram pool engines and are.
 type Engine struct {
 	workers int
-	obs     *obs.Recorder    // metrics recorder; nil disables all accounting
-	runners []seq.RunLabeler // per-worker run-engine scratch
-	bp      image.Bitplane   // shared bit-packed plane (strips filled per worker)
-	bytep   image.Byteplane  // shared byte-packed grey plane (strips filled per worker)
-	forest  Forest[uint32]   // seam forest: labels that reach a seam -> roots
-	seam    []uint32         // one boundary's union edges (reused)
-	links   int              // cross-border unions of the current call
-	pairs   int64            // boundary pixel pairs of the current call (pre-dedup)
-	edges   int64            // boundary union edges of the current call
-	comps   []int            // per-worker strip component counts
-	finds   []int64          // per-worker forest lookups (final update)
-	relab   []int64          // per-worker pixels rewritten in the final update
-	shards  [][]int64        // per-worker histogram tallies
-	errs    []error          // per-worker tally errors
+	obs     *obs.Recorder     // metrics recorder; nil disables all accounting
+	bands   []seq.BandLabeler // per-worker strip labelers (planes and run tables)
+	forest  Forest[uint32]    // seam forest: labels that reach a seam -> roots
+	seam    []uint32          // one boundary's union edges (reused)
+	links   int               // cross-border unions of the current call
+	pairs   int64             // boundary pixel pairs of the current call (pre-dedup)
+	edges   int64             // boundary union edges of the current call
+	comps   []int             // per-worker strip component counts
+	finds   []int64           // per-worker forest lookups (final update)
+	relab   []int64           // per-worker pixels rewritten in the final update
+	shards  [][]int64         // per-worker histogram tallies
+	errs    []error           // per-worker tally errors
 
 	// Lifecycle state. callMu is held for the duration of every
 	// Label/Histogram call (begin locks it, end releases it), which is what
@@ -99,7 +100,7 @@ func NewEngine(workers int) *Engine {
 	}
 	return &Engine{
 		workers: workers,
-		runners: make([]seq.RunLabeler, workers),
+		bands:   make([]seq.BandLabeler, workers),
 		comps:   make([]int, workers),
 		finds:   make([]int64, workers),
 		relab:   make([]int64, workers),
@@ -128,12 +129,12 @@ func (e *Engine) SetObserver(r *obs.Recorder) { e.obs = r }
 // Observer returns the installed metrics recorder (nil when disabled).
 func (e *Engine) Observer() *obs.Recorder { return e.obs }
 
-// stripCount clips the worker count to at most one strip per image row.
-func (e *Engine) stripCount(n int) int {
-	if e.workers < n {
+// stripCount clips the worker count to at most one strip per band row.
+func (e *Engine) stripCount(rows int) int {
+	if e.workers < rows {
 		return e.workers
 	}
-	return n
+	return rows
 }
 
 // stripBounds returns the half-open row range of strip w of W over n rows.
@@ -355,8 +356,8 @@ func (e *Engine) stopFlag() *atomic.Bool {
 // goroutine, which is what lets a leak checker assert quiescence right
 // after Close returns. A non-interruptible in-flight call (no context, no
 // injector) never polls the flag and simply runs to completion; Close
-// waits for it. While draining, the engine's heavy scratch (planes,
-// seam forest, per-worker run tables) is released to the collector.
+// waits for it. While draining, the engine's heavy scratch (per-worker
+// band labelers, seam forest) is released to the collector.
 // Idempotent and safe to call concurrently with Label/Histogram; always
 // returns nil.
 func (e *Engine) Close() error {
@@ -366,14 +367,12 @@ func (e *Engine) Close() error {
 	e.stop.Store(true)
 	e.callMu.Lock()
 	// Drop the arena-sized scratch while we hold the mutex: the engine can
-	// never run again, so the planes, seam forest and per-worker state are
-	// dead weight a pooled deployment should not keep pinned.
-	e.bp = image.Bitplane{}
-	e.bytep = image.Byteplane{}
+	// never run again, so the band labelers, seam forest and per-worker
+	// state are dead weight a pooled deployment should not keep pinned.
 	e.forest = Forest[uint32]{}
 	e.seam = nil
-	for i := range e.runners {
-		e.runners[i] = seq.RunLabeler{}
+	for i := range e.bands {
+		e.bands[i] = seq.BandLabeler{}
 		e.shards[i] = nil
 	}
 	e.obs = nil

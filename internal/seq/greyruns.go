@@ -103,16 +103,17 @@ func AppendGreyRunsPix(row []uint32, dst []int32, vals []uint32) ([]int32, []uin
 	return dst, vals
 }
 
-// LabelGreyStrip labels rows [r0, r0+rows) of im — Grey mode: adjacent
+// LabelGreyStrip labels the rows x cols strip — Grey mode: adjacent
 // pixels connect only when they share one nonzero grey level — into lab,
-// the strip's rows*N slice of the output array, with the same seed-label,
-// clear and return contracts as LabelStrip. Runs are extracted from bp
-// when non-nil (the byte-packed fast path; the caller must have verified
-// the packed rows are not truncated) and from im.Pix otherwise (the
-// full-width fallback for grey levels above 255).
-func (rl *RunLabeler) LabelGreyStrip(bp *image.Byteplane, im *image.Image, r0, rows int,
+// the strip's rows*cols label slice, with the same seed-label, clear and
+// return contracts as LabelStrip: plane and pixel row i are strip row i,
+// and r0, the strip's first row within its band, only offsets the seeds.
+// Runs are extracted from bp when non-nil (the byte-packed fast path; the
+// caller must have verified the packed rows are not truncated) and from
+// pix, the strip's row-major pixels, otherwise (the full-width fallback
+// for grey levels above 255).
+func (rl *RunLabeler) LabelGreyStrip(bp *image.Byteplane, pix []uint32, r0, rows, cols int,
 	conn image.Connectivity, clear bool, lab []uint32) int {
-	n := im.N
 	rl.runs = rl.runs[:0]
 	rl.vals = rl.vals[:0]
 	rl.seed = rl.seed[:0]
@@ -131,11 +132,11 @@ func (rl *RunLabeler) LabelGreyStrip(bp *image.Byteplane, im *image.Image, r0, r
 		rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
 		curLo := len(rl.parent)
 		if bp != nil {
-			rl.runs, rl.vals = AppendGreyRuns(bp.Row(r0+i), rl.runs, rl.vals)
+			rl.runs, rl.vals = AppendGreyRuns(bp.Row(i), rl.runs, rl.vals)
 		} else {
-			rl.runs, rl.vals = AppendGreyRunsPix(im.Pix[(r0+i)*n:(r0+i+1)*n], rl.runs, rl.vals)
+			rl.runs, rl.vals = AppendGreyRunsPix(pix[i*cols:(i+1)*cols], rl.runs, rl.vals)
 		}
-		base := uint32((r0+i)*n) + 1
+		base := uint32((r0+i)*cols) + 1
 		for k := curLo; k < len(rl.runs)/2; k++ {
 			rl.seed = append(rl.seed, base+uint32(rl.runs[2*k]))
 			rl.parent = append(rl.parent, int32(k))
@@ -147,7 +148,7 @@ func (rl *RunLabeler) LabelGreyStrip(bp *image.Byteplane, im *image.Image, r0, r
 	}
 	rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
 
-	rl.paint(rows, n, clear, lab)
+	rl.paint(rows, cols, clear, lab)
 	return len(rl.parent) - unites
 }
 
@@ -197,6 +198,6 @@ func LabelRunsGrey(im *image.Image, conn image.Connectivity) *image.Labels {
 	}
 	out := image.NewLabels(im.N)
 	var rl RunLabeler
-	rl.LabelGreyStrip(bp, im, 0, im.N, conn, false, out.Lab)
+	rl.LabelGreyStrip(bp, im.Pix, 0, im.N, im.N, conn, false, out.Lab)
 	return out
 }

@@ -251,6 +251,6 @@ func BenchmarkLabelRunsGrey(b *testing.B) {
 	b.SetBytes(int64(im.N * im.N))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rl.LabelGreyStrip(bp, im, 0, im.N, image.Conn8, true, out.Lab)
+		rl.LabelGreyStrip(bp, im.Pix, 0, im.N, im.N, image.Conn8, true, out.Lab)
 	}
 }

@@ -18,9 +18,10 @@ import (
 // set carries exactly the label the row-major BFS labeler assigns, so the
 // output is pixel-for-pixel identical to LabelBFS in Binary mode.
 //
-// The RunLabeler here labels one horizontal strip and is the unit of work
-// the host-parallel engine runs per worker; LabelRuns wraps it over a
-// whole image as the sequential run-based baseline.
+// The RunLabeler here labels one packed horizontal strip. BandLabeler
+// packs a strip and runs it — the unit of work the host-parallel engine
+// runs per worker — and LabelRuns wraps it over a whole image as the
+// sequential run-based baseline.
 
 // AppendRuns appends the maximal set-bit runs of one packed row to dst as
 // (start, end) half-open column pairs, scanning whole 64-bit words with
@@ -100,13 +101,15 @@ type RunLabeler struct {
 	Stop *atomic.Bool
 }
 
-// LabelStrip labels rows [r0, r0+rows) of bp — Binary mode: every set bit
-// is foreground — into lab, the strip's rows*N slice of the output array.
-// Seed labels are global (row r0+i of the full image), so strips labeled
-// by different workers carry globally unique labels with no coordination.
-// When clear is true, background gaps are zeroed as part of the paint pass
-// (lab need not be pre-cleared); when false, lab must already be zero.
-// Returns the number of components found within the strip.
+// LabelStrip labels the rows packed in bp — Binary mode: every set bit is
+// foreground — into lab, the strip's rows*N label slice. bp holds only
+// the strip: plane row i is strip row i. r0 is the strip's first row
+// within its band, and only the seed labels use it: row i's seeds are
+// (r0+i)*N + column + 1, so strips labeled by different workers carry
+// band-unique labels with no coordination. When clear is true, background
+// gaps are zeroed as part of the paint pass (lab need not be pre-cleared);
+// when false, lab must already be zero. Returns the number of components
+// found within the strip.
 func (rl *RunLabeler) LabelStrip(bp *image.Bitplane, r0, rows int, conn image.Connectivity,
 	clear bool, lab []uint32) int {
 	n := bp.N
@@ -127,7 +130,7 @@ func (rl *RunLabeler) LabelStrip(bp *image.Bitplane, r0, rows int, conn image.Co
 		}
 		rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
 		curLo := len(rl.parent)
-		rl.runs = AppendRuns(bp.Row(r0+i), rl.runs)
+		rl.runs = AppendRuns(bp.Row(i), rl.runs)
 		base := uint32((r0+i)*n) + 1
 		for k := curLo; k < len(rl.runs)/2; k++ {
 			rl.seed = append(rl.seed, base+uint32(rl.runs[2*k]))

@@ -33,74 +33,86 @@ func censusKey(r *Result) string {
 // pass at every band boundary, resume from the latest durable checkpoint,
 // and demand the census and the label PGM come out byte-identical to an
 // uninterrupted run — at more than one checkpoint cadence, so resumes
-// both at a checkpointed band and several bands past one are covered.
+// both at a checkpointed band and several bands past one are covered. The
+// 7-row bands stay on one strip; the 32-row bands of the taller scene
+// split across the band engine's workers once GOMAXPROCS >= 2, so a
+// crashed and resumed band then runs several strips and their seams.
 func TestResumeByteIdentical(t *testing.T) {
 	leakcheck.Check(t)
-	im := image.DARPAScene(60, 12, 7)
-	const bandRows = 7
-	pgm := encodePGM(im.Pix, im.N, im.N, 255)
-	totalBands := (im.N + bandRows - 1) / bandRows
+	for _, c := range []struct {
+		prefix   string
+		im       *image.Image
+		bandRows int
+	}{
+		{"", image.DARPAScene(60, 12, 7), 7},
+		{"rows32/", image.DARPAScene(128, 12, 7), 32},
+	} {
+		im, bandRows := c.im, c.bandRows
+		pgm := encodePGM(im.Pix, im.N, im.N, 255)
+		totalBands := (im.N + bandRows - 1) / bandRows
 
-	base := Options{Conn: image.Conn8, BandRows: bandRows, TopK: 4}
-	wantRes, wantPGM := streamLabel(t, pgm, base)
+		base := Options{Conn: image.Conn8, BandRows: bandRows, TopK: 4}
+		wantRes, wantPGM := streamLabel(t, pgm, base)
 
-	for _, every := range []int{1, 3} {
-		for band := 0; band < totalBands; band++ {
-			t.Run(fmt.Sprintf("every%d/crash-band%d", every, band), func(t *testing.T) {
-				ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		for _, every := range []int{1, 3} {
+			for band := 0; band < totalBands; band++ {
+				t.Run(fmt.Sprintf("%severy%d/crash-band%d", c.prefix, every, band), func(t *testing.T) {
+					ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 
-				crash := base
-				crash.Checkpoint = ckpt
-				crash.CheckpointEvery = every
-				crash.Fault = crashAt(band)
-				var out bytes.Buffer
-				_, err := Label(bytes.NewReader(pgm), &out, crash)
-				if !errors.Is(err, errs.ErrAborted) {
-					t.Fatalf("crashed run error = %v, want ErrAborted", err)
-				}
-				var inj *fault.Injected
-				if !errors.As(err, &inj) || inj.Site.Name != "band_commit" {
-					t.Fatalf("crashed run cause = %v, want injected band_commit fault", err)
-				}
-				if out.Len() != 0 {
-					t.Fatalf("crashed census pass emitted %d output bytes", out.Len())
-				}
-
-				resume := base
-				resume.Checkpoint = ckpt
-				resume.CheckpointEvery = every
-				if _, err := os.Stat(ckpt); err != nil {
-					// The crash fired before the first record landed: nothing
-					// durable exists, so recovery is a fresh checkpointed run.
-					if band >= every {
-						t.Fatalf("no checkpoint after surviving band %d at cadence %d", band, every)
+					crash := base
+					crash.Checkpoint = ckpt
+					crash.CheckpointEvery = every
+					crash.Fault = crashAt(band)
+					var out bytes.Buffer
+					_, err := Label(bytes.NewReader(pgm), &out, crash)
+					if !errors.Is(err, errs.ErrAborted) {
+						t.Fatalf("crashed run error = %v, want ErrAborted", err)
 					}
-				} else {
-					resume.Resume = true
-				}
-				rec := obs.NewRecorder()
-				resume.Obs = rec
-				out.Reset()
-				res, err := Label(bytes.NewReader(pgm), &out, resume)
-				if err != nil {
-					t.Fatalf("resumed run: %v", err)
-				}
-				if resume.Resume {
-					if res.ResumedFrom < 1 || res.ResumedFrom > band {
-						t.Fatalf("ResumedFrom = %d, want in [1, %d]", res.ResumedFrom, band)
+					var inj *fault.Injected
+					if !errors.As(err, &inj) || inj.Site.Name != "band_commit" {
+						t.Fatalf("crashed run cause = %v, want injected band_commit fault", err)
 					}
-					if rec.Counter(obs.CtrResumeBand) != int64(res.ResumedFrom) {
-						t.Fatalf("resume_band counter = %d, want %d",
-							rec.Counter(obs.CtrResumeBand), res.ResumedFrom)
+					if out.Len() != 0 {
+						t.Fatalf("crashed census pass emitted %d output bytes", out.Len())
 					}
-				}
-				if got, want := censusKey(res), censusKey(wantRes); got != want {
-					t.Fatalf("resumed census\n %s\nwant\n %s", got, want)
-				}
-				if !bytes.Equal(out.Bytes(), wantPGM) {
-					t.Fatalf("resumed label PGM differs from the uninterrupted run")
-				}
-			})
+
+					resume := base
+					resume.Checkpoint = ckpt
+					resume.CheckpointEvery = every
+					if _, err := os.Stat(ckpt); err != nil {
+						// The crash fired before the first record landed:
+						// nothing durable exists, so recovery is a fresh
+						// checkpointed run.
+						if band >= every {
+							t.Fatalf("no checkpoint after surviving band %d at cadence %d", band, every)
+						}
+					} else {
+						resume.Resume = true
+					}
+					rec := obs.NewRecorder()
+					resume.Obs = rec
+					out.Reset()
+					res, err := Label(bytes.NewReader(pgm), &out, resume)
+					if err != nil {
+						t.Fatalf("resumed run: %v", err)
+					}
+					if resume.Resume {
+						if res.ResumedFrom < 1 || res.ResumedFrom > band {
+							t.Fatalf("ResumedFrom = %d, want in [1, %d]", res.ResumedFrom, band)
+						}
+						if rec.Counter(obs.CtrResumeBand) != int64(res.ResumedFrom) {
+							t.Fatalf("resume_band counter = %d, want %d",
+								rec.Counter(obs.CtrResumeBand), res.ResumedFrom)
+						}
+					}
+					if got, want := censusKey(res), censusKey(wantRes); got != want {
+						t.Fatalf("resumed census\n %s\nwant\n %s", got, want)
+					}
+					if !bytes.Equal(out.Bytes(), wantPGM) {
+						t.Fatalf("resumed label PGM differs from the uninterrupted run")
+					}
+				})
+			}
 		}
 	}
 }

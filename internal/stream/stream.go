@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -33,6 +34,12 @@ const DefaultMaxBandPixels = 4 << 20
 // a crash to at most sixteen bands of census.
 const DefaultCheckpointEvery = 16
 
+// minStripRows is the thinnest strip the band engine splits a band into:
+// the engine gets GOMAXPROCS workers, clipped to bandRows/minStripRows. A
+// thinner strip spends more on its serial seam and its boundary-row
+// lookups than it saves, so 8-row bands stay on one worker.
+const minStripRows = 8
+
 // Options configures an out-of-core labeling run. The zero value labels
 // 8-connected binary components with the default band budget, no census,
 // no observer, and no cancellation.
@@ -48,17 +55,17 @@ type Options struct {
 	BandRows int
 	// TopK asks for the sizes of the K largest components (0 = none).
 	TopK int
-	// Context, when non-nil, cancels the run cooperatively: the pipeline
-	// observes cancellation at band granularity and inside the band
-	// labeler's row loops, and returns the context's typed error.
+	// Context, when non-nil, cancels the run cooperatively, and the run
+	// returns the context's typed error: the band engine watches it inside
+	// every band, the band seam polls a stop flag it raises, and every
+	// band boundary checks it. A ReadAt that blocks is not interrupted;
+	// the run stops at the next band boundary after the read returns.
 	Context context.Context
-	// StallTimeout, when positive, aborts the run if no band completes a
-	// phase for this long — the out-of-core analogue of the engine's
-	// barrier watchdog, guarding against a reader that hangs.
-	StallTimeout time.Duration
-	// Obs, when non-nil, receives per-band phase timings (band_decode,
-	// band_label, band_merge, band_write, checkpoint_write, resume_replay)
-	// and the merge counters.
+	// Obs, when non-nil, receives the pipeline's phase timings
+	// (band_decode, band_merge, band_write, checkpoint_write,
+	// resume_replay), the band engine's phases (strip_label, plus
+	// border_merge and relabel when a band spans several strips) for every
+	// band of both passes, and the labeling and merge counters.
 	Obs *obs.Recorder
 	// Checkpoint, when non-empty, is the path of the durable checkpoint
 	// record: after every CheckpointEvery committed census bands (and after
@@ -125,7 +132,8 @@ type Result struct {
 // pixels may exceed 2^32, which the resident path's uint32 label space
 // cannot represent.
 //
-// Pass 1 streams bands top to bottom: decode, run-label band-locally,
+// Pass 1 streams bands top to bottom: decode, label band-locally on the
+// host-parallel band engine (par.Engine.LabelBand, one strip per worker),
 // merge each band with its predecessor's bottom row through the shared
 // slab-merge seam into a sparse 64-bit union-find, and accumulate
 // per-fragment sizes. When out is nil the run ends there with the census.
@@ -190,12 +198,6 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 		return nil, errs.Bad(op, "resume requested without a checkpoint path")
 	}
 
-	wd := newWatchdog(opt.Context, opt.StallTimeout)
-	if err := wd.start(); err != nil {
-		return nil, err
-	}
-	defer wd.join()
-
 	p := &pipeline{
 		hdr:       hdr,
 		r:         r,
@@ -203,14 +205,23 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 		mode:      opt.Mode,
 		bandRows:  bandRows,
 		rec:       opt.Obs,
-		wd:        wd,
+		ctx:       opt.Context,
+		started:   time.Now(),
 		uf:        NewUnionFind64(),
 		sizes:     make(map[uint64]int64),
 		ckptPath:  opt.Checkpoint,
 		ckptEvery: ckptEvery,
 		fault:     opt.Fault,
 	}
-	p.bl.SetStop(&wd.stop)
+	if err := p.interrupted(); err != nil {
+		return nil, err
+	}
+	if p.ctx != nil {
+		defer context.AfterFunc(p.ctx, func() { p.stop.Store(true) })()
+	}
+	p.eng = par.NewEngine(max(1, min(runtime.GOMAXPROCS(0), bandRows/minStripRows)))
+	p.eng.SetObserver(opt.Obs)
+	defer p.eng.Close()
 
 	if p.ckptPath != "" {
 		// The raw header bytes are the checkpoint's input fingerprint,
@@ -270,8 +281,8 @@ func resolveBandRows(hdr *image.PGMHeader, opt Options) (int, error) {
 }
 
 // pipeline carries the per-run state shared by the census and label
-// passes: the band labeler and its reusable buffers, the sparse 64-bit
-// merge state, and the accumulated statistics.
+// passes: the band engine and the reusable band buffers, the sparse
+// 64-bit merge state, and the accumulated statistics.
 type pipeline struct {
 	hdr      image.PGMHeader
 	r        io.ReaderAt
@@ -279,12 +290,14 @@ type pipeline struct {
 	mode     seq.Mode
 	bandRows int
 	rec      *obs.Recorder
-	wd       *watchdog
+	ctx      context.Context // nil: not cancelable
+	started  time.Time
+	stop     atomic.Bool // raised when ctx is done; polled by the band seam
 
-	bl      seq.BandLabeler
-	pix     []uint32 // current band pixels
-	lab     []uint32 // current band band-local labels
-	scratch []byte   // raw sample bytes for ReadRows
+	eng     *par.Engine // labels every band of both passes
+	pix     []uint32    // current band pixels
+	lab     []uint32    // current band band-local labels
+	scratch []byte      // raw sample bytes for ReadRows
 
 	uf      *UnionFind64
 	sizes   map[uint64]int64 // fragment sizes by lifted band-local label
@@ -306,12 +319,12 @@ type pipeline struct {
 }
 
 // forEachBand streams the image top to bottom starting at band index
-// from, decoding and band-labeling each window and then handing it to fn
-// with its absolute start row and the band's component count. It owns the
-// band_decode and band_label phases and the cooperative stop polling
-// between phases; fn runs whatever per-band work the pass needs. A
-// resumed census pass starts past the checkpointed bands; the write pass
-// always starts at 0.
+// from, decoding each window and labeling it on the band engine, then
+// handing it to fn with its absolute start row and the band's component
+// count. It owns the band_decode phase (the engine records its own) and
+// checks the context at every band boundary; fn runs whatever per-band
+// work the pass needs. A resumed census pass starts past the checkpointed
+// bands; the write pass always starts at 0.
 func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) error {
 	W := p.hdr.Width
 	want := p.bandRows * W
@@ -320,7 +333,7 @@ func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) err
 		p.lab = make([]uint32, want)
 	}
 	for r0 := from * p.bandRows; r0 < p.hdr.Height; r0 += p.bandRows {
-		if err := p.wd.interrupted(); err != nil {
+		if err := p.interrupted(); err != nil {
 			return err
 		}
 		rows := p.bandRows
@@ -336,21 +349,31 @@ func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) err
 		if err != nil {
 			return err
 		}
-		p.wd.progressed()
 
-		t = p.rec.StartPhase()
-		comps := p.bl.Label(pix, rows, W, p.conn, p.mode, lab)
-		p.rec.EndPhase("band_label", "", t)
-		if err := p.wd.interrupted(); err != nil {
+		comps, err := p.eng.LabelBand(p.ctx, pix, rows, W, p.conn, p.mode, lab)
+		if err != nil {
+			if cerr := p.interrupted(); cerr != nil {
+				return cerr // report the run's own elapsed time, not the band's
+			}
 			return err
 		}
-		p.wd.progressed()
 
 		p.rec.Add(obs.CtrBands, 1)
 		if err := fn(r0, rows, comps); err != nil {
 			return err
 		}
-		p.wd.progressed()
+	}
+	return nil
+}
+
+// interrupted returns the run's typed context error once the context is
+// done, nil while the run is live or not cancelable.
+func (p *pipeline) interrupted() error {
+	if p.ctx == nil {
+		return nil
+	}
+	if err := p.ctx.Err(); err != nil {
+		return errs.FromContext(op, time.Since(p.started), err)
 	}
 	return nil
 }
@@ -358,8 +381,9 @@ func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) err
 // census is pass 1: stream every band from the start band (0 fresh,
 // checkpointed band when resuming), merge adjacent bands, and accumulate
 // fragment sizes, producing the component count, foreground count and
-// top-K census. Counters: strip components and run counts per band,
-// boundary pairs/edges/links per merge, checkpoint records written.
+// top-K census. Counters: boundary pairs/edges/links per band merge and
+// checkpoint records written; the band engine counts runs, strip
+// components and its own intra-band seams.
 //
 // On resume the normal merge path IS the seam replay: the restored
 // prevPix/prevLab rows are exactly what the uninterrupted run would hold
@@ -370,23 +394,20 @@ func (p *pipeline) census(topK int) (*Result, error) {
 	W := p.hdr.Width
 	err := p.forEachBand(p.startBand, func(r0, rows, comps int) error {
 		p.stripComps += int64(comps)
-		p.rec.Add(obs.CtrStripComponents, int64(comps))
 		base := uint64(r0) * uint64(W)
 		cur := Labels64{Base: base, Rows: rows, Cols: W, Lab: p.lab[:rows*W]}
-		if p.mode == seq.Grey {
-			p.rec.Add(obs.CtrGreyRuns, int64(len(p.bl.Runs())/2))
-		} else {
-			p.rec.Add(obs.CtrRuns, int64(len(p.bl.Runs())/2))
-		}
 
 		if r0 > 0 {
 			t := p.rec.StartPhase()
 			p.botLab = cur.LiftRow(0, p.botLab)
 			var pairs int64
 			p.edgeBuf, pairs = par.AppendBoundaryEdges(p.edgeBuf[:0],
-				p.prevPix, p.pix[:W], p.prevLab, p.botLab, p.conn, p.mode, &p.wd.stop)
-			links := par.ResolveBoundary(p.edgeBuf, p.uf, &p.wd.stop)
+				p.prevPix, p.pix[:W], p.prevLab, p.botLab, p.conn, p.mode, &p.stop)
+			links := par.ResolveBoundary(p.edgeBuf, p.uf, &p.stop)
 			p.rec.EndPhase("band_merge", "", t)
+			if err := p.interrupted(); err != nil {
+				return err // a stopped seam is partial: commit nothing
+			}
 			p.rec.Add(obs.CtrBorderPairs, pairs)
 			p.rec.Add(obs.CtrBorderEdges, int64(len(p.edgeBuf)/2))
 			p.rec.Add(obs.CtrBorderLinks, int64(links))
@@ -430,9 +451,6 @@ func (p *pipeline) census(topK int) (*Result, error) {
 		return p.bandCommitted(r0/p.bandRows, r0+rows == p.hdr.Height)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := p.wd.interrupted(); err != nil {
 		return nil, err
 	}
 
@@ -581,119 +599,5 @@ func (p *pipeline) bandCommitted(band int, last bool) error {
 		return err
 	}
 	p.rec.Add(obs.CtrCheckpoints, 1)
-	p.wd.progressed()
 	return nil
-}
-
-// watchdog is the pipeline's cancellation state: a cooperative stop flag
-// the band loops poll, set by a monitor goroutine when the context fires
-// or no phase completes within the stall timeout. join always reaps the
-// monitor, so a canceled run leaks nothing.
-type watchdog struct {
-	stop     atomic.Bool
-	progress atomic.Int64
-	ctx      context.Context
-	stall    time.Duration
-	started  time.Time
-	quit     chan struct{}
-	done     chan struct{}
-	cause    error // written by the monitor before done closes
-}
-
-func newWatchdog(ctx context.Context, stall time.Duration) *watchdog {
-	return &watchdog{ctx: ctx, stall: stall}
-}
-
-// start checks for pre-canceled contexts and launches the monitor when
-// there is anything to watch; otherwise the watchdog is inert and free.
-func (wd *watchdog) start() error {
-	if wd.ctx != nil {
-		if err := wd.ctx.Err(); err != nil {
-			return errs.FromContext(op, 0, err)
-		}
-	}
-	wd.started = time.Now()
-	if (wd.ctx == nil || wd.ctx.Done() == nil) && wd.stall <= 0 {
-		return nil
-	}
-	wd.quit = make(chan struct{})
-	wd.done = make(chan struct{})
-	go wd.run()
-	return nil
-}
-
-func (wd *watchdog) run() {
-	defer close(wd.done)
-	var ctxDone <-chan struct{}
-	if wd.ctx != nil {
-		ctxDone = wd.ctx.Done()
-	}
-	var tickC <-chan time.Time
-	if wd.stall > 0 {
-		tick := time.NewTicker(wd.stall/4 + time.Millisecond)
-		defer tick.Stop()
-		tickC = tick.C
-	}
-	last := wd.progress.Load()
-	lastChange := time.Now()
-	for {
-		select {
-		case <-wd.quit:
-			return
-		case <-ctxDone:
-			wd.cause = errs.FromContext(op, time.Since(wd.started), wd.ctx.Err())
-			wd.stop.Store(true)
-			return
-		case now := <-tickC:
-			if p := wd.progress.Load(); p != last {
-				last, lastChange = p, now
-				continue
-			}
-			if now.Sub(lastChange) >= wd.stall {
-				wd.cause = errs.Deadline(op, time.Since(wd.started), nil,
-					"no band phase completed for %v", wd.stall)
-				wd.stop.Store(true)
-				return
-			}
-		}
-	}
-}
-
-// progressed bumps the liveness counter the stall monitor watches.
-func (wd *watchdog) progressed() { wd.progress.Add(1) }
-
-// interrupted returns the abort cause once the run is canceled, nil while
-// it is live. The stop flag (raised by the monitor for stalls and for
-// cancellation noticed mid-phase) and the context itself are both
-// checked, so a checkpoint observes cancellation deterministically even
-// if the monitor goroutine has not been scheduled yet; the monitor is
-// joined before its recorded cause is read.
-func (wd *watchdog) interrupted() error {
-	if !wd.stop.Load() {
-		if wd.ctx == nil || wd.ctx.Err() == nil {
-			return nil
-		}
-		wd.stop.Store(true)
-	}
-	wd.join()
-	if wd.cause != nil {
-		return wd.cause
-	}
-	if wd.ctx != nil && wd.ctx.Err() != nil {
-		return errs.FromContext(op, time.Since(wd.started), wd.ctx.Err())
-	}
-	return errs.Canceled(op, time.Since(wd.started), "labeling interrupted")
-}
-
-// join stops and reaps the monitor goroutine; safe to call repeatedly.
-func (wd *watchdog) join() {
-	if wd.done == nil {
-		return
-	}
-	select {
-	case <-wd.quit:
-	default:
-		close(wd.quit)
-	}
-	<-wd.done
 }

@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"parimg/internal/errs"
 	"parimg/internal/fault/leakcheck"
@@ -328,8 +328,11 @@ func TestStreamRejectsUnknownMode(t *testing.T) {
 	}
 }
 
-// TestStreamMetrics checks the observability wiring: per-band phases, the
-// bands counter, and a document that passes the schema validator.
+// TestStreamMetrics checks the observability wiring: the pipeline's
+// phases and the band engine's, each recorded exactly once whatever the
+// band count, the bands counter, and a document that passes the schema
+// validator. 16-row bands split into two strips once GOMAXPROCS >= 2, so
+// the engine's seam phases appear then.
 func TestStreamMetrics(t *testing.T) {
 	im := image.Generate(image.FourSquares, 64)
 	pgm := encodePGM(im.Pix, im.N, im.N, 255)
@@ -344,16 +347,24 @@ func TestStreamMetrics(t *testing.T) {
 	if got := rec.Counter(obs.CtrBands); got != int64(2*res.Bands) {
 		t.Errorf("bands counter = %d, want %d", got, 2*res.Bands)
 	}
-	for _, phase := range []string{"band_decode", "band_label", "band_merge", "band_write"} {
-		found := false
+	want := []string{"band_decode", "strip_label", "band_merge", "band_write"}
+	if runtime.GOMAXPROCS(0) >= 2 {
+		want = append(want, "border_merge", "relabel")
+	}
+	for _, phase := range want {
+		n := 0
 		for _, ph := range m.Phases {
 			if ph.Name == phase {
-				found = true
-				break
+				n++
 			}
 		}
-		if !found {
-			t.Errorf("phase %q not recorded", phase)
+		if n != 1 {
+			t.Errorf("phase %q recorded %d times, want once over %d bands", phase, n, res.Bands)
+		}
+	}
+	for _, ph := range m.Phases {
+		if ph.Name == "band_label" {
+			t.Errorf("the retired band_label phase is still recorded")
 		}
 	}
 	if rec.Counter(obs.CtrStripComponents) == 0 || rec.Counter(obs.CtrRuns) == 0 {
@@ -379,7 +390,7 @@ func (c *cancelAfterReader) ReadAt(p []byte, off int64) (int, error) {
 
 // TestStreamCancellation: context cancellation mid-run surfaces as a typed
 // ErrCanceled, pre-canceled contexts never start, and no goroutine (the
-// stall monitor included) outlives the call.
+// band engine's workers and context monitor included) outlives the call.
 func TestStreamCancellation(t *testing.T) {
 	leakcheck.Check(t)
 	im := image.Generate(image.DualSpiral, 96)
@@ -395,34 +406,9 @@ func TestStreamCancellation(t *testing.T) {
 	defer cancel()
 	// Cancel after the third band decode; plenty of bands remain.
 	r := &cancelAfterReader{r: bytes.NewReader(pgm), after: 4, cancel: cancel}
-	_, err := Label(r, io.Discard, Options{Context: ctx, BandRows: 8, StallTimeout: time.Minute})
+	_, err := Label(r, io.Discard, Options{Context: ctx, BandRows: 8})
 	if !errors.Is(err, errs.ErrCanceled) {
 		t.Fatalf("mid-run cancellation error = %v, want ErrCanceled", err)
-	}
-}
-
-// slowReader sleeps on every ReadAt, longer than the stall window.
-type slowReader struct {
-	r     io.ReaderAt
-	delay time.Duration
-}
-
-func (s *slowReader) ReadAt(p []byte, off int64) (int, error) {
-	time.Sleep(s.delay)
-	return s.r.ReadAt(p, off)
-}
-
-// TestStreamStallWatchdog: a reader that stops making progress trips the
-// stall timeout with a typed ErrDeadline, and the monitor goroutine is
-// reaped.
-func TestStreamStallWatchdog(t *testing.T) {
-	leakcheck.Check(t)
-	im := image.Generate(image.HorizontalBars, 64)
-	pgm := encodePGM(im.Pix, im.N, im.N, 255)
-	r := &slowReader{r: bytes.NewReader(pgm), delay: 120 * time.Millisecond}
-	_, err := Label(r, nil, Options{BandRows: 4, StallTimeout: 25 * time.Millisecond})
-	if !errors.Is(err, errs.ErrDeadline) {
-		t.Fatalf("stalled run error = %v, want ErrDeadline", err)
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package stream labels the connected components of images too large to
 // hold in memory: an out-of-core pipeline that reads horizontal band
-// windows of an on-disk PGM through image.PGMHeader, labels each band with
-// the run-based sequential engine, and merges adjacent bands across their
-// shared boundary row through the same slab-merge seam the host-parallel
-// engine uses for its strip boundaries. Labels live in a 64-bit global
-// space — the pixel's global row-major index plus one — so the total pixel
-// count may exceed 2^32 and the resident MaxSide ceiling does not apply;
-// memory stays O(band) plus the sparse merge state.
+// windows of an on-disk PGM through image.PGMHeader, labels each band on
+// the host-parallel band engine (par.Engine.LabelBand, which splits a band
+// into strips across its workers, so a band uses every core), and merges
+// adjacent bands across their shared boundary row through the same
+// slab-merge seam the engine uses for its strip boundaries. Labels live in
+// a 64-bit global space — the pixel's global row-major index plus one — so
+// the total pixel count may exceed 2^32 and the resident MaxSide ceiling
+// does not apply; memory stays O(band) plus the sparse merge state.
 package stream
 
 import "parimg/internal/par"
