@@ -62,8 +62,9 @@ chaos-short:
 
 # End-to-end smoke test of the labeling service: build and start imgccd,
 # wait for /healthz, POST the DARPA benchmark scene, diff the census
-# response against the committed golden, and validate the scraped /metrics
-# through the schema checker (used by the CI serve-smoke job).
+# response against the committed golden, cmp the served label PGM against
+# imgcc -stream -out, and validate the scraped /metrics through the schema
+# checker (used by the CI serve-smoke job).
 serve-smoke:
 	./scripts/serve_smoke.sh
 

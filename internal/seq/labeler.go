@@ -3,13 +3,11 @@ package seq
 import "parimg/internal/image"
 
 // Labeler is a reusable sequential connected-components labeler: it owns the
-// BFS scratch (the traversal queue and an epoch-stamped visited set) so that
-// repeated labelings do no per-call scratch allocations. The zero value is
-// ready to use. A Labeler is not safe for concurrent use; give each worker
-// its own.
+// BFS traversal queue so that repeated labelings do no per-call scratch
+// allocations. The zero value is ready to use. A Labeler is not safe for
+// concurrent use; give each worker its own.
 type Labeler struct {
-	queue   []int32
-	visited Visited
+	queue []int32
 }
 
 // Label labels a whole image like LabelBFS, allocating only the result.
@@ -38,15 +36,3 @@ func (l *Labeler) LabelTile(pix []uint32, rows, cols int, conn image.Connectivit
 	l.queue = queue
 	return comps
 }
-
-// Flood runs FloodRelabel with the Labeler's reusable queue and visited set,
-// returning the number of pixels relabeled. ResetVisited must have been
-// called for the current tile before the first Flood of an update pass.
-func (l *Labeler) Flood(pix, labels []uint32, rows, cols int, conn image.Connectivity, mode Mode,
-	seed int32, newLabel uint32) int {
-	l.queue = FloodRelabel(pix, labels, rows, cols, conn, mode, seed, newLabel, &l.visited, l.queue)
-	return len(l.queue)
-}
-
-// ResetVisited invalidates the visited marks for a tile of rows*cols pixels.
-func (l *Labeler) ResetVisited(rows, cols int) { l.visited.Reset(rows * cols) }

@@ -164,9 +164,7 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if out == "pgm" {
-		if err := writeLabelPGM(w, res.Labels, res.Components); err != nil {
-			writeError(w, err)
-		}
+		writeLabelPGM(w, res.Labels, res.Components)
 		return
 	}
 	resp := LabelResponse{Components: res.Components, N: im.N, Census: res.Census}
@@ -177,60 +175,24 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// writeLabelPGM renders the labeling as a P5 PGM: labels are renumbered
-// densely 1..components in row-major first-seen order (background stays
-// 0), so the output fits the format's 16-bit sample ceiling whenever the
-// image has at most 65535 components; beyond that the request fails with
-// 422 before any byte of the body is written. Both sample widths the
-// renderer emits round-trip through image.ReadPGM (and the streaming
-// reader), so a label PGM can be fed back to the service or pipeline.
-func writeLabelPGM(w http.ResponseWriter, l *image.Labels, components int) error {
-	if components > 65535 {
+// writeLabelPGM streams the labeling through image.LabelPGMWriter. More
+// than 65535 components do not fit its 16-bit samples: the writer refuses
+// them before a byte is written, and the request fails with 422.
+func writeLabelPGM(w http.ResponseWriter, l *image.Labels, components int) {
+	pw, err := image.NewLabelPGMWriter(w, l.N, l.N, int64(components))
+	if err != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusUnprocessableEntity)
 		json.NewEncoder(w).Encode(errorResponse{Error: fmt.Sprintf(
 			"serve.label: %d components exceed the PGM 16-bit sample ceiling (65535); use out=json", components)})
-		return nil
-	}
-	dense := make([]uint16, len(l.Lab))
-	remap := make(map[uint32]uint16, components)
-	var next uint16
-	for i, lab := range l.Lab {
-		if lab == 0 {
-			continue
-		}
-		id, ok := remap[lab]
-		if !ok {
-			next++
-			id = next
-			remap[lab] = id
-		}
-		dense[i] = id
-	}
-	maxval := int(next)
-	if maxval == 0 {
-		maxval = 1 // PGM requires maxval >= 1 even for an all-background image
+		return
 	}
 	w.Header().Set("Content-Type", "image/x-portable-graymap")
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n%d\n", l.N, l.N, maxval); err != nil {
-		return nil // client gone; nothing sensible to report
+	// Past its constructor the writer fails only when a write to the
+	// client does: the client left, and nothing remains to report.
+	if pw.WriteRows(l.Lab, nil) == nil {
+		_ = pw.Close()
 	}
-	var buf []byte
-	if maxval < 256 {
-		buf = make([]byte, len(dense))
-		for i, v := range dense {
-			buf[i] = byte(v)
-		}
-	} else {
-		buf = make([]byte, 2*len(dense))
-		for i, v := range dense {
-			buf[2*i] = byte(v >> 8)
-			buf[2*i+1] = byte(v)
-		}
-	}
-	_, err := w.Write(buf)
-	_ = err // headers are out; a write error just means the client left
-	return nil
 }
 
 // handleMetrics emits the MetricsDocs array as indented JSON.

@@ -361,3 +361,42 @@ func TestHTTPLabelPGM16BitRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPLabelPGMTooManyComponents posts a 400×400 Conn4 checkerboard
+// (80,000 single-pixel components, past the label PGM's 16-bit sample
+// ceiling) with out=pgm: the answer is a 422 with a JSON error body, and
+// not a byte of PGM.
+func TestHTTPLabelPGMTooManyComponents(t *testing.T) {
+	s, ts := startHTTP(t, Config{Engines: 1, EngineWorkers: 1})
+	defer ts.Close()
+	defer s.Close()
+
+	const n = 400
+	im := image.New(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if (i+j)%2 == 0 {
+				im.Set(i, j, 1)
+			}
+		}
+	}
+	resp := post(t, ts.URL+"/label?conn=4&out=pgm", pgmBytes(t, im))
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading body: %v", err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %.80q", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q, want application/json", ct)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Fatalf("body is not a JSON error (%v): %.80q", err, body)
+	}
+	if bytes.Contains(body, []byte("P5")) {
+		t.Fatalf("422 body carries PGM bytes: %.80q", body)
+	}
+}

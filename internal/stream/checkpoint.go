@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"parimg/internal/atomicio"
 	"parimg/internal/errs"
@@ -25,23 +26,25 @@ import (
 //     because band-local labels would no longer line up;
 //   - the resume point: the index of the next uncommitted band;
 //   - the census state at that point: the sparse union-find forest, the
-//     per-fragment size map, the running strip-component/link/pair/edge
+//     per-fragment size map, the running strip-component and link
 //     tallies, and the previous band's bottom pixel and lifted-label rows
 //     against which the next band's seam is re-extracted.
 //
 // The on-disk form is little-endian binary: an 8-byte magic, a version
 // word, the fields above, and a trailing CRC-32C over every preceding
-// byte. Records are written crash-atomically (temp sibling + fsync +
-// rename via internal/atomicio), so the path always holds either the
-// previous complete record or the new one — a torn write is impossible to
-// observe, and any bit flip that survives the filesystem fails the
-// checksum and surfaces as ErrCheckpointCorrupt rather than wrong pixels.
+// byte. The forest and size sections are written in ascending key order,
+// so identical runs write byte-identical records. Records are written
+// crash-atomically (temp sibling + fsync + rename via internal/atomicio),
+// so the path always holds either the previous complete record or the new
+// one — a torn write is impossible to observe, and any bit flip that
+// survives the filesystem fails the checksum and surfaces as
+// ErrCheckpointCorrupt rather than wrong pixels.
 
 // ckptMagic opens every checkpoint record.
 var ckptMagic = [8]byte{'P', 'I', 'M', 'G', 'C', 'K', 'P', 'T'}
 
 // ckptVersion is the current record version; readers reject others.
-const ckptVersion = 1
+const ckptVersion = 2
 
 // checkpoint is the in-memory form of one record.
 type checkpoint struct {
@@ -62,8 +65,6 @@ type checkpoint struct {
 	// Census state after band nextBand-1.
 	stripComps int64
 	links      int64
-	pairs      int64
-	edges      int64
 	prevPix    []uint32 // bottom pixel row of band nextBand-1
 	prevLab    []uint64 // bottom lifted-label row of band nextBand-1
 	parent     map[uint64]uint64
@@ -115,8 +116,6 @@ func (c *checkpoint) writeFile(path string) error {
 		e.u64(uint64(c.nextBand))
 		e.u64(uint64(c.stripComps))
 		e.u64(uint64(c.links))
-		e.u64(uint64(c.pairs))
-		e.u64(uint64(c.edges))
 		e.u64(uint64(len(c.prevPix)))
 		for _, v := range c.prevPix {
 			e.u32(v)
@@ -125,16 +124,8 @@ func (c *checkpoint) writeFile(path string) error {
 		for _, v := range c.prevLab {
 			e.u64(v)
 		}
-		e.u64(uint64(len(c.parent)))
-		for child, par := range c.parent {
-			e.u64(child)
-			e.u64(par)
-		}
-		e.u64(uint64(len(c.sizes)))
-		for lab, size := range c.sizes {
-			e.u64(lab)
-			e.u64(uint64(size))
-		}
+		writeSorted(e, c.parent)
+		writeSorted(e, c.sizes)
 		if e.err != nil {
 			return e.err
 		}
@@ -145,6 +136,21 @@ func (c *checkpoint) writeFile(path string) error {
 		}
 		return bw.Flush()
 	})
+}
+
+// writeSorted writes a map section: the entry count, then the entries in
+// ascending key order, so identical runs write identical records.
+func writeSorted[V ~uint64 | ~int64](e *ckptEncoder, m map[uint64]V) {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e.u64(uint64(len(keys)))
+	for _, k := range keys {
+		e.u64(k)
+		e.u64(uint64(m[k]))
+	}
 }
 
 // ckptDecoder reads little-endian fields from a byte slice, latching
@@ -225,8 +231,6 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	c.nextBand = int(d.u64())
 	c.stripComps = int64(d.u64())
 	c.links = int64(d.u64())
-	c.pairs = int64(d.u64())
-	c.edges = int64(d.u64())
 
 	npix := int(d.u64())
 	if npix < 0 || npix > d.remaining()/4 {
@@ -270,7 +274,7 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	// crafted record must still fail typed instead of driving the pipeline
 	// into impossible state.
 	if c.width < 1 || c.height < 1 || c.bandRows < 1 || c.dataOffset < 0 ||
-		c.stripComps < 0 || c.links < 0 || c.pairs < 0 || c.edges < 0 {
+		c.stripComps < 0 || c.links < 0 {
 		return nil, errs.CheckpointCorrupt(op, "checkpoint %s carries impossible geometry or tallies", path)
 	}
 	totalBands := (c.height + c.bandRows - 1) / c.bandRows
@@ -338,8 +342,6 @@ func (p *pipeline) saveCheckpoint(nextBand int) error {
 		nextBand:   nextBand,
 		stripComps: p.stripComps,
 		links:      p.links,
-		pairs:      p.pairs,
-		edges:      p.edges,
 		prevPix:    p.prevPix,
 		prevLab:    p.prevLab,
 		parent:     p.uf.Parents(),
@@ -356,8 +358,6 @@ func (p *pipeline) saveCheckpoint(nextBand int) error {
 func (p *pipeline) restore(c *checkpoint) int {
 	p.stripComps = c.stripComps
 	p.links = c.links
-	p.pairs = c.pairs
-	p.edges = c.edges
 	p.prevPix = c.prevPix
 	p.prevLab = c.prevLab
 	// Uniting the stored pairs into the fresh forest rebuilds its roots,

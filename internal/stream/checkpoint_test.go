@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -219,6 +220,20 @@ func writeCheckpointFor(t *testing.T, pgm []byte, opt Options) (string, []byte) 
 	return ckpt, data
 }
 
+// TestCheckpointRecordReproducible: two identical checkpointed runs write
+// byte-identical records, because the forest and size sections are
+// written in ascending key order rather than in map iteration order.
+func TestCheckpointRecordReproducible(t *testing.T) {
+	im := image.DARPAScene(128, 12, 7)
+	pgm := encodePGM(im.Pix, im.N, im.N, 255)
+	opt := Options{Mode: seq.Grey, BandRows: 8, CheckpointEvery: 3}
+	_, first := writeCheckpointFor(t, pgm, opt)
+	_, second := writeCheckpointFor(t, pgm, opt)
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two identical runs wrote different %d- and %d-byte checkpoint records", len(first), len(second))
+	}
+}
+
 // TestCorruptCheckpointRejected is the corruption table: every structural
 // violation — truncation, bit flips in header and payload, a foreign
 // version, an empty file — fails with ErrCheckpointCorrupt. A checkpoint
@@ -243,6 +258,7 @@ func TestCorruptCheckpointRejected(t *testing.T) {
 		{"truncated-one-byte", corrupt(func(b []byte) []byte { return b[:len(b)-1] })},
 		{"magic-flip", corrupt(func(b []byte) []byte { b[0] ^= 0x40; return b })},
 		{"version-flip", corrupt(func(b []byte) []byte { b[8] ^= 0xFF; return b })},
+		{"version-1", corrupt(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:12], 1); return b })},
 		{"payload-flip", corrupt(func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b })},
 		{"checksum-flip", corrupt(func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })},
 		{"trailing-garbage", corrupt(func(b []byte) []byte { return append(b, 0xEE) })},

@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"bufio"
 	"context"
-	"fmt"
 	"io"
 	"runtime"
 	"sort"
@@ -139,14 +137,9 @@ type Result struct {
 // per-fragment sizes. When out is nil the run ends there with the census.
 //
 // With a non-nil out, a second pass streams the bands again and writes
-// the labeling as a P5 PGM: labels densely renumbered 1..components in
-// row-major first-seen order (background 0), one byte per sample up to
-// 255 components, two big-endian bytes up to 65535 — the same rendering
-// the labeling service emits, and re-ingestible by both PGM readers.
-// Beyond 65535 components the label output cannot exist in this format
-// and the call fails without writing a byte (the census in Result is
-// still the complete answer when the error is inspected — but callers
-// should re-run without out).
+// the label PGM of image.LabelPGMWriter, as the labeling service does.
+// Beyond 65535 components that PGM cannot exist, and the call fails with
+// ErrBadInput without writing a byte; re-run without out for the census.
 //
 // The output is pixel-identical to dense-renumbering the resident
 // sequential labeling: band-local seeds lifted by the band's base offset
@@ -314,8 +307,6 @@ type pipeline struct {
 
 	stripComps int64
 	links      int64
-	pairs      int64
-	edges      int64
 }
 
 // forEachBand streams the image top to bottom starting at band index
@@ -411,8 +402,6 @@ func (p *pipeline) census(topK int) (*Result, error) {
 			p.rec.Add(obs.CtrBorderPairs, pairs)
 			p.rec.Add(obs.CtrBorderEdges, int64(len(p.edgeBuf)/2))
 			p.rec.Add(obs.CtrBorderLinks, int64(links))
-			p.pairs += pairs
-			p.edges += int64(len(p.edgeBuf) / 2)
 			p.links += int64(links)
 		}
 
@@ -496,77 +485,24 @@ func (p *pipeline) census(topK int) (*Result, error) {
 
 // writeLabels is pass 2: stream the bands again (the band decomposition
 // and band-local labelings are deterministic, so the labels reappear
-// exactly) and write the dense-renumbered label PGM. Dense ids are
-// assigned in row-major first-seen order of each pixel's 64-bit root, so
-// the output matches the resident renderer's byte for byte.
+// exactly) and write them through image.LabelPGMWriter, each band's labels
+// lifted to their roots in the final forest.
 func (p *pipeline) writeLabels(out io.Writer, components int64) error {
-	if components > image.MaxPGMVal {
-		return errs.Bad(op,
-			"%d components exceed the PGM 16-bit sample ceiling (%d); rerun without the label output",
-			components, image.MaxPGMVal)
-	}
 	W := p.hdr.Width
-	maxval := int(components)
-	if maxval == 0 {
-		maxval = 1 // PGM requires maxval >= 1 even for an all-background image
+	lw, err := image.NewLabelPGMWriter(out, W, p.hdr.Height, components)
+	if err != nil {
+		return err
 	}
-	sb := 1
-	if maxval > 255 {
-		sb = 2
-	}
-	bw := bufio.NewWriterSize(out, 1<<16)
-	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n%d\n", W, p.hdr.Height, maxval); err != nil {
-		return errs.Bad(op, "writing label PGM header: %v", err)
-	}
-	remap := make(map[uint64]uint32, components)
-	var next uint32
-	var rowBuf []byte
-	err := p.forEachBand(0, func(r0, rows, _ int) error {
+	err = p.forEachBand(0, func(r0, rows, _ int) error {
 		t := p.rec.StartPhase()
 		defer p.rec.EndPhase("band_write", "", t)
 		base := uint64(r0) * uint64(W)
-		if cap(rowBuf) < rows*W*sb {
-			rowBuf = make([]byte, rows*W*sb)
-		}
-		buf := rowBuf[:rows*W*sb]
-		lab := p.lab[:rows*W]
-		// One find+map lookup per run of equal labels, not per pixel.
-		var lastLab, lastID uint32
-		for i, l := range lab {
-			id := lastID
-			if l != lastLab {
-				if l == 0 {
-					id = 0
-				} else {
-					root := p.uf.Find(base + uint64(l))
-					var ok bool
-					if id, ok = remap[root]; !ok {
-						next++
-						id = next
-						remap[root] = id
-					}
-				}
-				lastLab, lastID = l, id
-			}
-			if sb == 1 {
-				buf[i] = byte(id)
-			} else {
-				buf[2*i] = byte(id >> 8)
-				buf[2*i+1] = byte(id)
-			}
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return errs.Bad(op, "writing label rows [%d,%d): %v", r0, r0+rows, err)
-		}
-		return nil
+		return lw.WriteRows(p.lab[:rows*W], func(l uint32) uint64 { return p.uf.Find(base + uint64(l)) })
 	})
 	if err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		return errs.Bad(op, "flushing label PGM: %v", err)
-	}
-	return nil
+	return lw.Close()
 }
 
 // bandCommitted runs after band (0-based index) has fully committed its

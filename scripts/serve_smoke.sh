@@ -2,15 +2,19 @@
 # End-to-end smoke test of the labeling service, used by `make serve-smoke`
 # and the CI serve-smoke job:
 #
-#   1. build and start imgccd on a local port,
+#   1. build imgccd and imgcc, and start imgccd on a local port,
 #   2. wait for /healthz to answer ok,
 #   3. POST darpa_before.pgm (mode=grey&census=1) and diff the response
 #      against the committed golden testdata/serve_darpa_census.json,
-#   4. exercise the backpressure path's headers are sane (a plain request
+#   4. POST darpa_before.pgm (mode=grey&out=pgm) and cmp the label PGM
+#      against `imgcc -stream -grey -band-rows 64 -out` on the same file
+#      (eight bands, so the band seams and their forest take part): one
+#      writer renders both, so the bytes must match,
+#   5. exercise the backpressure path's headers are sane (a plain request
 #      must NOT carry Retry-After),
-#   5. scrape /metrics and validate every document through the schema
+#   6. scrape /metrics and validate every document through the schema
 #      checker (cmd/metricscheck),
-#   6. send SIGTERM while a slow-upload /label request is in flight: the
+#   7. send SIGTERM while a slow-upload /label request is in flight: the
 #      request must still complete 200 with the correct census (graceful
 #      drain), and the process must exit 0 within its drain window.
 #
@@ -28,8 +32,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "serve-smoke: building imgccd"
+echo "serve-smoke: building imgccd and imgcc"
 go build -o "$WORKDIR/imgccd" ./cmd/imgccd
+go build -o "$WORKDIR/imgcc" ./cmd/imgcc
 
 echo "serve-smoke: starting imgccd on $ADDR"
 "$WORKDIR/imgccd" -addr "$ADDR" -engines 2 -oversub 64 >"$WORKDIR/imgccd.log" 2>&1 &
@@ -57,6 +62,15 @@ curl -sf --data-binary @darpa_before.pgm \
     "http://$ADDR/label?mode=grey&census=1" >"$WORKDIR/census.json"
 diff -u testdata/serve_darpa_census.json "$WORKDIR/census.json" || {
     echo "serve-smoke: census response differs from the committed golden" >&2
+    exit 1
+}
+
+echo "serve-smoke: comparing the label PGM with imgcc -stream"
+curl -sf --data-binary @darpa_before.pgm \
+    "http://$ADDR/label?mode=grey&out=pgm" >"$WORKDIR/serve_labels.pgm"
+"$WORKDIR/imgcc" -stream -in darpa_before.pgm -grey -band-rows 64 -out "$WORKDIR/stream_labels.pgm" >/dev/null
+cmp "$WORKDIR/serve_labels.pgm" "$WORKDIR/stream_labels.pgm" || {
+    echo "serve-smoke: served label PGM differs from imgcc -stream -out" >&2
     exit 1
 }
 
