@@ -63,22 +63,44 @@ func (lw *LabelPGMWriter) WriteRows(lab []uint32, root func(uint32) uint64) erro
 		// Render straight into the buffer's free space, a chunk at a time.
 		n := min(len(lab), lw.bw.Available()/sb)
 		out := lw.bw.AvailableBuffer()[:n*sb]
-		for i, l := range lab[:n] {
+		for i := 0; i < n; {
+			// Scan to the run's end, then fill its samples.
+			run := lab[i:n]
+			l, k := run[0], 1
+			for k < len(run) && run[k] == l {
+				k++
+			}
 			if l != last {
 				if last, id = l, 0; l != 0 {
 					id = lw.id(l, root)
 				}
 			}
-			if sb == 2 {
-				out[2*i], out[2*i+1] = byte(id>>8), byte(id)
-			} else {
-				out[i] = byte(id)
-			}
+			fillRun(out[i*sb:(i+k)*sb], sb, id)
+			i += k
 		}
 		_, _ = lw.bw.Write(out) // fits the free space, so it cannot fail
 		lab = lab[n:]
 	}
 	return nil
+}
+
+// fillRun fills b with the id's sb-byte big-endian sample, repeated:
+// short runs a sample at a time, long ones by doubling copies.
+func fillRun(b []byte, sb int, id uint32) {
+	if sb == 2 {
+		b[0], b[1] = byte(id>>8), byte(id)
+	} else {
+		b[0] = byte(id)
+	}
+	if len(b) <= 16 {
+		for k := sb; k < len(b); k++ {
+			b[k] = b[k-sb]
+		}
+		return
+	}
+	for k := sb; k < len(b); k *= 2 {
+		copy(b[k:], b[:k])
+	}
 }
 
 // id returns the dense id of nonzero label l's component, issuing the next

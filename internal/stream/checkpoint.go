@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -21,30 +22,32 @@ import (
 //
 //   - a fingerprint of the run: the input's raw header bytes, its
 //     geometry (width, height, maxval, data offset), and the options that
-//     shape the band decomposition and the labeling (connectivity, mode,
-//     band rows) — resume refuses a checkpoint whose fingerprint drifted,
-//     because band-local labels would no longer line up;
+//     shape the band decomposition, the labeling and the census
+//     (connectivity, mode, band rows, TopK) — resume refuses a checkpoint
+//     whose fingerprint drifted, because band-local labels would no longer
+//     line up, and a K-entry top list cannot answer a larger K;
 //   - the resume point: the index of the next uncommitted band;
-//   - the census state at that point: the sparse union-find forest, the
-//     per-fragment size map, the running strip-component and link
-//     tallies, and the previous band's bottom pixel and lifted-label rows
-//     against which the next band's seam is re-extracted.
+//   - the frontier at that point: the strip-component, link, closed and
+//     foreground tallies, the previous band's bottom pixel row and slot
+//     row, the open components' roots and sizes, the top list, and the
+//     merges of two open components so far.
 //
 // The on-disk form is little-endian binary: an 8-byte magic, a version
 // word, the fields above, and a trailing CRC-32C over every preceding
-// byte. The forest and size sections are written in ascending key order,
-// so identical runs write byte-identical records. Records are written
-// crash-atomically (temp sibling + fsync + rename via internal/atomicio),
-// so the path always holds either the previous complete record or the new
-// one — a torn write is impossible to observe, and any bit flip that
-// survives the filesystem fails the checksum and surfaces as
-// ErrCheckpointCorrupt rather than wrong pixels.
+// byte. Every section is in a deterministic order (slots in first-seen
+// column order, the top list in Result.Top's order, merges in recording
+// order), so identical runs write byte-identical records. Records are
+// written crash-atomically (temp sibling + fsync + rename via
+// internal/atomicio), so the path always holds either the previous
+// complete record or the new one — a torn write is impossible to observe,
+// and any bit flip that survives the filesystem fails the checksum and
+// surfaces as ErrCheckpointCorrupt rather than wrong pixels.
 
 // ckptMagic opens every checkpoint record.
 var ckptMagic = [8]byte{'P', 'I', 'M', 'G', 'C', 'K', 'P', 'T'}
 
 // ckptVersion is the current record version; readers reject others.
-const ckptVersion = 2
+const ckptVersion = 3
 
 // checkpoint is the in-memory form of one record.
 type checkpoint struct {
@@ -52,6 +55,7 @@ type checkpoint struct {
 	conn       image.Connectivity
 	mode       seq.Mode
 	bandRows   int
+	topK       int
 	width      int
 	height     int
 	maxVal     int
@@ -62,13 +66,14 @@ type checkpoint struct {
 	// (0-based); bands [0, nextBand) are committed below.
 	nextBand int
 
-	// Census state after band nextBand-1.
-	stripComps int64
-	links      int64
-	prevPix    []uint32 // bottom pixel row of band nextBand-1
-	prevLab    []uint64 // bottom lifted-label row of band nextBand-1
-	parent     map[uint64]uint64
-	sizes      map[uint64]int64
+	// Frontier after band nextBand-1.
+	stripComps, links, closed, fg int64
+	prevPix                       []uint32 // bottom pixel row of band nextBand-1
+	slotRow                       []uint32 // its slot row
+	slotRoot                      []uint64
+	slotSize                      []int64
+	top                           []Component // Result.Top's order
+	merges                        []uint64    // (larger root, smaller root) pairs
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -107,6 +112,7 @@ func (c *checkpoint) writeFile(path string) error {
 		e.u32(uint32(c.conn))
 		e.u32(uint32(c.mode))
 		e.u64(uint64(c.bandRows))
+		e.u64(uint64(c.topK))
 		e.u64(uint64(c.width))
 		e.u64(uint64(c.height))
 		e.u64(uint64(c.maxVal))
@@ -114,18 +120,29 @@ func (c *checkpoint) writeFile(path string) error {
 		e.u64(uint64(len(c.header)))
 		e.raw(c.header)
 		e.u64(uint64(c.nextBand))
-		e.u64(uint64(c.stripComps))
-		e.u64(uint64(c.links))
-		e.u64(uint64(len(c.prevPix)))
-		for _, v := range c.prevPix {
-			e.u32(v)
+		for _, v := range [...]int64{c.stripComps, c.links, c.closed, c.fg} {
+			e.u64(uint64(v))
 		}
-		e.u64(uint64(len(c.prevLab)))
-		for _, v := range c.prevLab {
+		for _, row := range [2][]uint32{c.prevPix, c.slotRow} {
+			e.u64(uint64(len(row)))
+			for _, v := range row {
+				e.u32(v)
+			}
+		}
+		e.u64(uint64(len(c.slotRoot)))
+		for s, r := range c.slotRoot {
+			e.u64(r)
+			e.u64(uint64(c.slotSize[s]))
+		}
+		e.u64(uint64(len(c.top)))
+		for _, t := range c.top {
+			e.u64(t.Label)
+			e.u64(uint64(t.Size))
+		}
+		e.u64(uint64(len(c.merges) / 2))
+		for _, v := range c.merges {
 			e.u64(v)
 		}
-		writeSorted(e, c.parent)
-		writeSorted(e, c.sizes)
 		if e.err != nil {
 			return e.err
 		}
@@ -136,21 +153,6 @@ func (c *checkpoint) writeFile(path string) error {
 		}
 		return bw.Flush()
 	})
-}
-
-// writeSorted writes a map section: the entry count, then the entries in
-// ascending key order, so identical runs write identical records.
-func writeSorted[V ~uint64 | ~int64](e *ckptEncoder, m map[uint64]V) {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		e.u64(k)
-		e.u64(uint64(m[k]))
-	}
 }
 
 // ckptDecoder reads little-endian fields from a byte slice, latching
@@ -218,6 +220,7 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 		conn:       image.Connectivity(d.u32()),
 		mode:       seq.Mode(d.u32()),
 		bandRows:   int(d.u64()),
+		topK:       int(d.u64()),
 		width:      int(d.u64()),
 		height:     int(d.u64()),
 		maxVal:     int(d.u64()),
@@ -229,63 +232,117 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	}
 	c.header = append([]byte(nil), d.raw(hlen)...)
 	c.nextBand = int(d.u64())
-	c.stripComps = int64(d.u64())
-	c.links = int64(d.u64())
+	c.stripComps, c.links, c.closed, c.fg = int64(d.u64()), int64(d.u64()), int64(d.u64()), int64(d.u64())
 
-	npix := int(d.u64())
-	if npix < 0 || npix > d.remaining()/4 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s declares %d boundary pixels past its own size", path, npix)
+	// count reads a section's entry count, bounded by the bytes left so a
+	// crafted count cannot force a large allocation.
+	count := func(entryBytes int, what string) (int, error) {
+		n := int(d.u64())
+		if n < 0 || n > d.remaining()/entryBytes {
+			return 0, errs.CheckpointCorrupt(op, "checkpoint %s declares %d %s past its own size", path, n, what)
+		}
+		return n, nil
 	}
-	c.prevPix = make([]uint32, npix)
-	for i := range c.prevPix {
-		c.prevPix[i] = d.u32()
+	for _, row := range [2]*[]uint32{&c.prevPix, &c.slotRow} {
+		n, err := count(4, "boundary columns")
+		if err != nil {
+			return nil, err
+		}
+		*row = make([]uint32, n)
+		for i := range *row {
+			(*row)[i] = d.u32()
+		}
 	}
-	nlab := int(d.u64())
-	if nlab < 0 || nlab > d.remaining()/8 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s declares %d boundary labels past its own size", path, nlab)
+	nslot, err := count(16, "open components")
+	if err != nil {
+		return nil, err
 	}
-	c.prevLab = make([]uint64, nlab)
-	for i := range c.prevLab {
-		c.prevLab[i] = d.u64()
+	c.slotRoot, c.slotSize = make([]uint64, nslot), make([]int64, nslot)
+	for s := range c.slotRoot {
+		c.slotRoot[s], c.slotSize[s] = d.u64(), int64(d.u64())
 	}
-	nuf := int(d.u64())
-	if nuf < 0 || nuf > d.remaining()/16 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s declares %d forest links past its own size", path, nuf)
+	ntop, err := count(16, "top-list entries")
+	if err != nil {
+		return nil, err
 	}
-	c.parent = make(map[uint64]uint64, nuf)
-	for i := 0; i < nuf; i++ {
-		child, par := d.u64(), d.u64()
-		c.parent[child] = par
+	c.top = make([]Component, ntop)
+	for i := range c.top {
+		c.top[i] = Component{Label: d.u64(), Size: int64(d.u64())}
 	}
-	nsz := int(d.u64())
-	if nsz < 0 || nsz > d.remaining()/16 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s declares %d fragment sizes past its own size", path, nsz)
+	nmerge, err := count(16, "merges")
+	if err != nil {
+		return nil, err
 	}
-	c.sizes = make(map[uint64]int64, nsz)
-	for i := 0; i < nsz; i++ {
-		lab, size := d.u64(), int64(d.u64())
-		c.sizes[lab] = size
+	c.merges = make([]uint64, 2*nmerge)
+	for i := range c.merges {
+		c.merges[i] = d.u64()
 	}
 	if d.bad || d.remaining() != 0 {
 		return nil, errs.CheckpointCorrupt(op, "checkpoint %s record is truncated or carries trailing bytes", path)
 	}
+	if err := c.validate(); err != nil {
+		return nil, errs.CheckpointCorrupt(op, "checkpoint %s %v", path, err)
+	}
+	return c, nil
+}
 
-	// Field plausibility: the checksum says the bytes are intact, but a
-	// crafted record must still fail typed instead of driving the pipeline
-	// into impossible state.
-	if c.width < 1 || c.height < 1 || c.bandRows < 1 || c.dataOffset < 0 ||
-		c.stripComps < 0 || c.links < 0 {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s carries impossible geometry or tallies", path)
+// validate checks field plausibility: the checksum says the bytes are
+// intact, but a crafted record must still fail typed instead of driving
+// the pipeline into impossible state. Every index into the frontier and
+// every count is checked, so no record can make the pipeline panic.
+func (c *checkpoint) validate() error {
+	if c.width < 1 || c.height < 1 || c.bandRows < 1 || c.topK < 0 || c.dataOffset < 0 ||
+		c.stripComps < 0 || c.links < 0 || c.closed < 0 || c.fg < 0 {
+		return fmt.Errorf("carries impossible geometry, options or tallies")
 	}
 	totalBands := (c.height + c.bandRows - 1) / c.bandRows
 	if c.nextBand < 1 || c.nextBand > totalBands {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s resumes at band %d of %d", path, c.nextBand, totalBands)
+		return fmt.Errorf("resumes at band %d of %d", c.nextBand, totalBands)
 	}
-	if len(c.prevPix) != c.width || len(c.prevLab) != c.width {
-		return nil, errs.CheckpointCorrupt(op, "checkpoint %s boundary rows hold %d/%d entries for width %d",
-			path, len(c.prevPix), len(c.prevLab), c.width)
+	if len(c.prevPix) != c.width || len(c.slotRow) != c.width {
+		return fmt.Errorf("boundary rows hold %d/%d entries for width %d", len(c.prevPix), len(c.slotRow), c.width)
 	}
-	return c, nil
+	if len(c.slotRoot) > c.width {
+		return fmt.Errorf("holds %d open components, more than its width %d", len(c.slotRoot), c.width)
+	}
+	// Slots are numbered in first-seen column order, each on some
+	// foreground column; background columns hold 0.
+	seen := 0
+	for j, s := range c.slotRow {
+		switch {
+		case c.prevPix[j] == 0 && s != 0:
+			return fmt.Errorf("gives background column %d slot %d", j, s)
+		case c.prevPix[j] == 0:
+		case int(s) > seen || int(s) >= len(c.slotRoot):
+			return fmt.Errorf("gives column %d slot %d past its %d open components", j, s, len(c.slotRoot))
+		case int(s) == seen:
+			seen++
+		}
+	}
+	if seen != len(c.slotRoot) {
+		return fmt.Errorf("holds %d open components, its slot row names %d", len(c.slotRoot), seen)
+	}
+	// A root is a seed of a committed row.
+	seeds := uint64(min(c.nextBand*c.bandRows, c.height)) * uint64(c.width)
+	for s, r := range c.slotRoot {
+		if r < 1 || r > seeds || c.slotSize[s] < 1 {
+			return fmt.Errorf("holds open component %d with root %d and size %d", s, r, c.slotSize[s])
+		}
+	}
+	if len(c.top) > c.topK {
+		return fmt.Errorf("holds %d top-list entries for TopK %d", len(c.top), c.topK)
+	}
+	for i, t := range c.top {
+		if t.Label < 1 || t.Size < 1 || i > 0 && !below(t, c.top[i-1]) {
+			return fmt.Errorf("holds top-list entry %d out of order or impossible", i)
+		}
+	}
+	for k := 0; k < len(c.merges); k += 2 {
+		if larger, smaller := c.merges[k], c.merges[k+1]; smaller < 1 || smaller >= larger {
+			return fmt.Errorf("holds merge %d of root %d into %d, not a smaller root", k/2, larger, smaller)
+		}
+	}
+	return nil
 }
 
 // matches compares the checkpoint's fingerprint against the live run:
@@ -294,7 +351,7 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 // resuming would replay seams against the wrong rows and silently emit
 // wrong pixels, which is exactly what the typed refusal prevents.
 func (c *checkpoint) matches(hdr image.PGMHeader, header []byte,
-	conn image.Connectivity, mode seq.Mode, bandRows int) error {
+	conn image.Connectivity, mode seq.Mode, bandRows, topK int) error {
 	if c.width != hdr.Width || c.height != hdr.Height || c.maxVal != hdr.MaxVal || c.dataOffset != hdr.DataOffset {
 		return errs.CheckpointMismatch(op,
 			"checkpoint is for a %dx%d maxval-%d input (data at %d); this input is %dx%d maxval-%d (data at %d)",
@@ -312,6 +369,9 @@ func (c *checkpoint) matches(hdr image.PGMHeader, header []byte,
 	if c.bandRows != bandRows {
 		return errs.CheckpointMismatch(op, "checkpoint was written with %d-row bands, resume asks for %d", c.bandRows, bandRows)
 	}
+	if c.topK != topK {
+		return errs.CheckpointMismatch(op, "checkpoint keeps the %d largest components, resume asks for %d", c.topK, topK)
+	}
 	return nil
 }
 
@@ -326,26 +386,32 @@ func readHeaderBytes(r io.ReaderAt, hdr image.PGMHeader) ([]byte, error) {
 	return b, nil
 }
 
-// saveCheckpoint captures the pipeline's census state after band
-// nextBand-1 committed and writes it durably; timed by the caller under
-// the checkpoint_write phase.
+// saveCheckpoint captures the pipeline's frontier after band nextBand-1
+// committed and writes it durably; timed by the caller under the
+// checkpoint_write phase.
 func (p *pipeline) saveCheckpoint(nextBand int) error {
+	f := p.fr
 	c := &checkpoint{
 		conn:       p.conn,
 		mode:       p.mode,
 		bandRows:   p.bandRows,
+		topK:       f.topK,
 		width:      p.hdr.Width,
 		height:     p.hdr.Height,
 		maxVal:     p.hdr.MaxVal,
 		dataOffset: p.hdr.DataOffset,
 		header:     p.hdrBytes,
 		nextBand:   nextBand,
-		stripComps: p.stripComps,
-		links:      p.links,
-		prevPix:    p.prevPix,
-		prevLab:    p.prevLab,
-		parent:     p.uf.Parents(),
-		sizes:      p.sizes,
+		stripComps: f.stripComps,
+		links:      f.links,
+		closed:     f.closed,
+		fg:         f.fg,
+		prevPix:    f.prevPix,
+		slotRow:    f.slotRow,
+		slotRoot:   f.slotRoot,
+		slotSize:   f.slotSize,
+		top:        f.sortedTop(),
+		merges:     f.merges,
 	}
 	if err := c.writeFile(p.ckptPath); err != nil {
 		return errs.Bad(op, "writing checkpoint %s: %v", p.ckptPath, err)
@@ -353,18 +419,17 @@ func (p *pipeline) saveCheckpoint(nextBand int) error {
 	return nil
 }
 
-// restore installs a validated checkpoint's state into the pipeline and
+// restore installs a validated checkpoint's frontier into the pipeline and
 // returns the band index the census pass continues at.
 func (p *pipeline) restore(c *checkpoint) int {
-	p.stripComps = c.stripComps
-	p.links = c.links
-	p.prevPix = c.prevPix
-	p.prevLab = c.prevLab
-	// Uniting the stored pairs into the fresh forest rebuilds its roots,
-	// and cannot build a cycle whatever the record holds.
-	for child, parent := range c.parent {
-		p.uf.Unite(child, parent)
-	}
-	p.sizes = c.sizes
+	f := p.fr
+	f.stripComps, f.links, f.closed, f.fg = c.stripComps, c.links, c.closed, c.fg
+	f.prevPix, f.slotRow = c.prevPix, c.slotRow
+	f.slotRoot, f.slotSize = c.slotRoot, c.slotSize
+	// Reversed, Result.Top's order ranks every entry below the ones after
+	// it: a valid heap for offer.
+	f.top = c.top
+	slices.Reverse(f.top)
+	f.merges = c.merges
 	return c.nextBand
 }

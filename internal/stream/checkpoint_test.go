@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"parimg/internal/errs"
@@ -37,22 +38,28 @@ func censusKey(r *Result) string {
 // both at a checkpointed band and several bands past one are covered. The
 // 7-row bands stay on one strip; the 32-row bands of the taller scene
 // split across the band engine's workers once GOMAXPROCS >= 2, so a
-// crashed and resumed band then runs several strips and their seams.
+// crashed and resumed band then runs several strips and their seams. The
+// DARPA scenes hold few components that merge across bands; the noise row
+// sits near the percolation threshold, where almost every band closes
+// components and merges open ones, so its records carry a full frontier,
+// a top list and a growing merge list.
 func TestResumeByteIdentical(t *testing.T) {
 	leakcheck.Check(t)
 	for _, c := range []struct {
 		prefix   string
 		im       *image.Image
+		conn     image.Connectivity
 		bandRows int
 	}{
-		{"", image.DARPAScene(60, 12, 7), 7},
-		{"rows32/", image.DARPAScene(128, 12, 7), 32},
+		{"", image.DARPAScene(60, 12, 7), image.Conn8, 7},
+		{"rows32/", image.DARPAScene(128, 12, 7), image.Conn8, 32},
+		{"noise/", image.RandomBinary(64, 0.59, 7), image.Conn4, 3},
 	} {
 		im, bandRows := c.im, c.bandRows
 		pgm := encodePGM(im.Pix, im.N, im.N, 255)
 		totalBands := (im.N + bandRows - 1) / bandRows
 
-		base := Options{Conn: image.Conn8, BandRows: bandRows, TopK: 4}
+		base := Options{Conn: c.conn, BandRows: bandRows, TopK: 4}
 		wantRes, wantPGM := streamLabel(t, pgm, base)
 
 		for _, every := range []int{1, 3} {
@@ -221,8 +228,9 @@ func writeCheckpointFor(t *testing.T, pgm []byte, opt Options) (string, []byte) 
 }
 
 // TestCheckpointRecordReproducible: two identical checkpointed runs write
-// byte-identical records, because the forest and size sections are
-// written in ascending key order rather than in map iteration order.
+// byte-identical records, because every section has a deterministic
+// order: slots in first-seen column order, the top list in Result.Top's
+// order, merges in recording order.
 func TestCheckpointRecordReproducible(t *testing.T) {
 	im := image.DARPAScene(128, 12, 7)
 	pgm := encodePGM(im.Pix, im.N, im.N, 255)
@@ -234,11 +242,45 @@ func TestCheckpointRecordReproducible(t *testing.T) {
 	}
 }
 
+// TestCheckpointRecordSizeBounded: a record holds the frontier, not the
+// components seen so far, so a census of isolated squares writes records
+// of one size at height H and at 4H. The merge list grows only with
+// merges of two open components, and isolated squares make none.
+func TestCheckpointRecordSizeBounded(t *testing.T) {
+	const cols = 48
+	squares := func(rows int) []byte {
+		pix := make([]uint32, rows*cols)
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				if r%4 >= 2 && c%4 < 2 {
+					pix[r*cols+c] = 1 // 2x2 squares across 3-row bands and on the bottom row
+				}
+			}
+		}
+		return encodePGM(pix, rows, cols, 255)
+	}
+	opt := Options{BandRows: 3, TopK: 3}
+	path, short := writeCheckpointFor(t, squares(100), opt)
+	_, tall := writeCheckpointFor(t, squares(400), opt)
+	if len(short) != len(tall) {
+		t.Fatalf("census-only records hold %d bytes at height 100 and %d at height 400", len(short), len(tall))
+	}
+	c, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.slotRoot) != cols/4 || len(c.top) != 3 || len(c.merges) != 0 {
+		t.Fatalf("final record holds %d open components, %d top entries and %d merges; want %d, 3 and 0",
+			len(c.slotRoot), len(c.top), len(c.merges)/2, cols/4)
+	}
+}
+
 // TestCorruptCheckpointRejected is the corruption table: every structural
 // violation — truncation, bit flips in header and payload, a foreign
-// version, an empty file — fails with ErrCheckpointCorrupt. A checkpoint
-// is never trusted on faith: resuming from a damaged record must be
-// impossible, not merely unlikely.
+// version, an empty file — fails with ErrCheckpointCorrupt, and so does a
+// crafted record with a valid checksum whose frontier is impossible. A
+// checkpoint is never trusted on faith: resuming from a damaged record
+// must be impossible, not merely unlikely, and must never panic.
 func TestCorruptCheckpointRejected(t *testing.T) {
 	im := image.Generate(image.ConcentricCircles, 32)
 	pgm := encodePGM(im.Pix, im.N, im.N, 255)
@@ -247,6 +289,35 @@ func TestCorruptCheckpointRejected(t *testing.T) {
 
 	corrupt := func(mutate func([]byte) []byte) []byte {
 		return mutate(append([]byte(nil), valid...))
+	}
+	// A record written after band 2, whose bottom row (row 14) crosses
+	// both rings, so it holds open components.
+	mid := filepath.Join(t.TempDir(), "mid.ckpt")
+	crash := Options{BandRows: 5, TopK: 2, CheckpointEvery: 1, Checkpoint: mid, Fault: crashAt(2)}
+	if _, err := Label(bytes.NewReader(pgm), nil, crash); !errors.Is(err, errs.ErrAborted) {
+		t.Fatalf("crashed run error = %v, want ErrAborted", err)
+	}
+	craft := func(mutate func(c *checkpoint)) []byte {
+		c, err := loadCheckpoint(mid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.slotRoot) == 0 {
+			t.Fatal("the band-2 record holds no open components")
+		}
+		mutate(c)
+		path := filepath.Join(t.TempDir(), "crafted.ckpt")
+		if err := c.writeFile(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	firstForeground := func(c *checkpoint) int {
+		return slices.IndexFunc(c.prevPix, func(v uint32) bool { return v != 0 })
 	}
 	cases := []struct {
 		name string
@@ -259,9 +330,28 @@ func TestCorruptCheckpointRejected(t *testing.T) {
 		{"magic-flip", corrupt(func(b []byte) []byte { b[0] ^= 0x40; return b })},
 		{"version-flip", corrupt(func(b []byte) []byte { b[8] ^= 0xFF; return b })},
 		{"version-1", corrupt(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:12], 1); return b })},
+		{"version-2", corrupt(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:12], 2); return b })},
 		{"payload-flip", corrupt(func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b })},
 		{"checksum-flip", corrupt(func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })},
 		{"trailing-garbage", corrupt(func(b []byte) []byte { return append(b, 0xEE) })},
+		{"slot-past-frontier", craft(func(c *checkpoint) {
+			c.slotRow[firstForeground(c)] = uint32(len(c.slotRoot))
+		})},
+		{"more-slots-than-width", craft(func(c *checkpoint) {
+			for len(c.slotRoot) <= c.width {
+				c.slotRoot = append(c.slotRoot, c.slotRoot[0])
+				c.slotSize = append(c.slotSize, 1)
+			}
+		})},
+		{"top-list-past-topk", craft(func(c *checkpoint) {
+			c.top = []Component{{Label: 9, Size: 30}, {Label: 3, Size: 20}, {Label: 5, Size: 10}}
+		})},
+		{"top-list-out-of-order", craft(func(c *checkpoint) {
+			c.top = []Component{{Label: 5, Size: 10}, {Label: 9, Size: 30}}
+		})},
+		{"merge-not-smaller", craft(func(c *checkpoint) {
+			c.merges = append(c.merges, 7, 7)
+		})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -306,6 +396,7 @@ func TestMismatchedCheckpointRejected(t *testing.T) {
 		{"different-conn", pgm, Options{Conn: image.Conn4, BandRows: 5}},
 		{"different-mode", greyPGM, Options{Conn: image.Conn8, Mode: seq.Grey, BandRows: 5}},
 		{"different-band-rows", pgm, Options{Conn: image.Conn8, BandRows: 6}},
+		{"different-topk", pgm, Options{Conn: image.Conn8, BandRows: 5, TopK: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -60,7 +59,7 @@ type Options struct {
 	// the run stops at the next band boundary after the read returns.
 	Context context.Context
 	// Obs, when non-nil, receives the pipeline's phase timings
-	// (band_decode, band_merge, band_write, checkpoint_write,
+	// (band_decode, band_merge, census_fold, band_write, checkpoint_write,
 	// resume_replay), the band engine's phases (strip_label, plus
 	// border_merge and relabel when a band spans several strips) for every
 	// band of both passes, and the labeling and merge counters.
@@ -132,14 +131,20 @@ type Result struct {
 //
 // Pass 1 streams bands top to bottom: decode, label band-locally on the
 // host-parallel band engine (par.Engine.LabelBand, one strip per worker),
-// merge each band with its predecessor's bottom row through the shared
-// slab-merge seam into a sparse 64-bit union-find, and accumulate
-// per-fragment sizes. When out is nil the run ends there with the census.
+// merge each band into the frontier — the components open at the previous
+// band's bottom row — through the shared slab-merge seam, fold the band's
+// pixels into its components, and close every component that no longer
+// reaches the bottom row. State between bands stays O(cols + TopK), plus
+// one pair per merge of two open components when a write pass or a
+// checkpoint record will read them. When out is nil the run ends there
+// with the census.
 //
-// With a non-nil out, a second pass streams the bands again and writes
-// the label PGM of image.LabelPGMWriter, as the labeling service does.
-// Beyond 65535 components that PGM cannot exist, and the call fails with
-// ErrBadInput without writing a byte; re-run without out for the census.
+// With a non-nil out, a second pass streams the bands again, replays the
+// frontier over each band's two boundary rows, and writes the label PGM
+// of image.LabelPGMWriter, as the labeling service does, mapping each
+// band-time root to its final root through pass 1's merges. Beyond 65535
+// components that PGM cannot exist, and the call fails with ErrBadInput
+// without writing a byte; re-run without out for the census.
 //
 // The output is pixel-identical to dense-renumbering the resident
 // sequential labeling: band-local seeds lifted by the band's base offset
@@ -166,6 +171,7 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	topK := max(0, opt.TopK)
 	bandRows, err := resolveBandRows(&hdr, opt)
 	if err != nil {
 		return nil, err
@@ -200,8 +206,7 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 		rec:       opt.Obs,
 		ctx:       opt.Context,
 		started:   time.Now(),
-		uf:        NewUnionFind64(),
-		sizes:     make(map[uint64]int64),
+		fr:        newFrontier(hdr.Width, topK, out != nil || opt.Checkpoint != ""),
 		ckptPath:  opt.Checkpoint,
 		ckptEvery: ckptEvery,
 		fault:     opt.Fault,
@@ -227,7 +232,7 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 		t := p.rec.StartPhase()
 		c, err := loadCheckpoint(p.ckptPath)
 		if err == nil {
-			err = c.matches(hdr, p.hdrBytes, conn, p.mode, bandRows)
+			err = c.matches(hdr, p.hdrBytes, conn, p.mode, bandRows, topK)
 		}
 		if err != nil {
 			p.rec.EndPhase("resume_replay", "", t)
@@ -238,7 +243,7 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 		p.rec.Add(obs.CtrResumeBand, int64(p.startBand))
 	}
 
-	res, err := p.census(opt.TopK)
+	res, err := p.census()
 	if err != nil {
 		return nil, err
 	}
@@ -274,8 +279,8 @@ func resolveBandRows(hdr *image.PGMHeader, opt Options) (int, error) {
 }
 
 // pipeline carries the per-run state shared by the census and label
-// passes: the band engine and the reusable band buffers, the sparse
-// 64-bit merge state, and the accumulated statistics.
+// passes: the band engine and the reusable band buffers, and pass 1's
+// frontier.
 type pipeline struct {
 	hdr      image.PGMHeader
 	r        io.ReaderAt
@@ -292,21 +297,13 @@ type pipeline struct {
 	lab     []uint32    // current band band-local labels
 	scratch []byte      // raw sample bytes for ReadRows
 
-	uf      *UnionFind64
-	sizes   map[uint64]int64 // fragment sizes by lifted band-local label
-	edgeBuf []uint64
-	prevPix []uint32 // previous band's bottom pixel row
-	prevLab []uint64 // previous band's bottom label row, lifted
-	botLab  []uint64 // current band's top label row, lifted (scratch)
+	fr *frontier // pass 1's merge state and tallies
 
 	ckptPath  string // checkpoint record path ("" = no checkpointing)
 	ckptEvery int    // checkpoint cadence in committed bands
 	hdrBytes  []byte // raw input bytes [0, DataOffset): the fingerprint
 	startBand int    // census pass starts here (0 fresh, >0 resumed)
 	fault     *fault.Injector
-
-	stripComps int64
-	links      int64
 }
 
 // forEachBand streams the image top to bottom starting at band index
@@ -370,70 +367,49 @@ func (p *pipeline) interrupted() error {
 }
 
 // census is pass 1: stream every band from the start band (0 fresh,
-// checkpointed band when resuming), merge adjacent bands, and accumulate
-// fragment sizes, producing the component count, foreground count and
-// top-K census. Counters: boundary pairs/edges/links per band merge and
-// checkpoint records written; the band engine counts runs, strip
+// checkpointed band when resuming) through the frontier, producing the
+// component count, foreground count and top-K census. Each band's seam
+// (band_merge) unites the frontier's open components with the band's
+// components; its fold (census_fold) sums the band's pixels into its
+// components, records merges of two open components, rebuilds the slot
+// row from the band's bottom row and closes every component that no
+// longer reaches it. Counters: boundary pairs/edges/links per band merge
+// and checkpoint records written; the band engine counts runs, strip
 // components and its own intra-band seams.
 //
 // On resume the normal merge path IS the seam replay: the restored
-// prevPix/prevLab rows are exactly what the uninterrupted run would hold
-// entering this band, band labeling is deterministic, and
-// unite-by-minimum is idempotent, so the forest and size map evolve
-// identically from here on.
-func (p *pipeline) census(topK int) (*Result, error) {
+// frontier is exactly what the uninterrupted run would hold entering this
+// band, band labeling is deterministic, and unite-by-minimum is
+// idempotent, so the frontier evolves identically from here on.
+func (p *pipeline) census() (*Result, error) {
 	W := p.hdr.Width
+	f := p.fr
 	err := p.forEachBand(p.startBand, func(r0, rows, comps int) error {
-		p.stripComps += int64(comps)
-		base := uint64(r0) * uint64(W)
-		cur := Labels64{Base: base, Rows: rows, Cols: W, Lab: p.lab[:rows*W]}
+		f.stripComps += int64(comps)
+		pix, lab := p.pix[:rows*W], p.lab[:rows*W]
 
-		if r0 > 0 {
-			t := p.rec.StartPhase()
-			p.botLab = cur.LiftRow(0, p.botLab)
-			var pairs int64
-			p.edgeBuf, pairs = par.AppendBoundaryEdges(p.edgeBuf[:0],
-				p.prevPix, p.pix[:W], p.prevLab, p.botLab, p.conn, p.mode, &p.stop)
-			links := par.ResolveBoundary(p.edgeBuf, p.uf, &p.stop)
-			p.rec.EndPhase("band_merge", "", t)
-			if err := p.interrupted(); err != nil {
-				return err // a stopped seam is partial: commit nothing
-			}
-			p.rec.Add(obs.CtrBorderPairs, pairs)
-			p.rec.Add(obs.CtrBorderEdges, int64(len(p.edgeBuf)/2))
-			p.rec.Add(obs.CtrBorderLinks, int64(links))
-			p.links += int64(links)
+		t := p.rec.StartPhase()
+		if err := f.begin(uint64(r0)*uint64(W), pix, comps); err != nil {
+			return err
 		}
+		pairs, links := f.seam(pix, lab, p.conn, p.mode, &p.stop)
+		p.rec.EndPhase("band_merge", "", t)
+		if err := p.interrupted(); err != nil {
+			return err // a stopped seam is partial: commit nothing
+		}
+		p.rec.Add(obs.CtrBorderPairs, pairs)
+		p.rec.Add(obs.CtrBorderEdges, int64(len(f.edges)/2))
+		p.rec.Add(obs.CtrBorderLinks, int64(links))
+		f.links += int64(links)
 
-		// Fragment sizes: run-length over the band's label plane, one map
-		// update per run. Each band-local component contributes one sizes
-		// entry (its fragments' runs share the lifted label), so the map
-		// holds one entry per band-level fragment over the whole run —
-		// components + links entries in total, not one per pixel.
-		lab := p.lab[:rows*W]
-		var curLab uint32
-		var cnt int64
-		for _, l := range lab {
-			if l == curLab {
-				cnt++
-				continue
-			}
-			if curLab != 0 {
-				p.sizes[base+uint64(curLab)] += cnt
-			}
-			curLab, cnt = l, 1
+		t = p.rec.StartPhase()
+		seeds := f.fold(lab)
+		f.commit(lab[(rows-1)*W:], true)
+		p.rec.EndPhase("census_fold", "", t)
+		if seeds != comps {
+			return errs.Bad(op, "component accounting mismatch: band at row %d holds %d seeds, the band engine counted %d",
+				r0, seeds, comps)
 		}
-		if curLab != 0 {
-			p.sizes[base+uint64(curLab)] += cnt
-		}
-
-		// Save the band's bottom boundary for the next merge.
-		if cap(p.prevPix) < W {
-			p.prevPix = make([]uint32, W)
-		}
-		p.prevPix = p.prevPix[:W]
-		copy(p.prevPix, p.pix[(rows-1)*W:rows*W])
-		p.prevLab = cur.LiftRow(rows-1, p.prevLab)
 
 		// The band's census state is now fully committed: fault site, then
 		// the checkpoint cadence.
@@ -443,61 +419,57 @@ func (p *pipeline) census(topK int) (*Result, error) {
 		return nil, err
 	}
 
-	// Fold fragment sizes through the final forest.
-	final := make(map[uint64]int64, len(p.sizes))
-	var fg int64
-	for l, s := range p.sizes {
-		final[p.uf.Find(l)] += s
-		fg += s
+	f.finish()
+	if f.closed != f.stripComps-f.links {
+		// Cross-check: every component closes exactly once.
+		return nil, errs.Bad(op, "component accounting mismatch: %d closed, %d by links",
+			f.closed, f.stripComps-f.links)
 	}
-	res := &Result{
+	return &Result{
 		Width:      p.hdr.Width,
 		Height:     p.hdr.Height,
-		Components: p.stripComps - p.links,
-		Foreground: fg,
+		Components: f.closed,
+		Foreground: f.fg,
 		Bands:      (p.hdr.Height + p.bandRows - 1) / p.bandRows,
 		BandRows:   p.bandRows,
-		Links:      p.links,
-	}
-	if int64(len(final)) != res.Components {
-		// Cross-check: the size fold sees exactly one root per component.
-		return nil, errs.Bad(op, "component accounting mismatch: %d roots, %d by links",
-			len(final), res.Components)
-	}
-	if topK > 0 {
-		all := make([]Component, 0, len(final))
-		for l, s := range final {
-			all = append(all, Component{Label: l, Size: s})
-		}
-		sort.Slice(all, func(a, b int) bool {
-			if all[a].Size != all[b].Size {
-				return all[a].Size > all[b].Size
-			}
-			return all[a].Label < all[b].Label
-		})
-		if len(all) > topK {
-			all = all[:topK]
-		}
-		res.Top = all
-	}
-	return res, nil
+		Links:      f.links,
+		Top:        f.sortedTop(),
+	}, nil
 }
 
 // writeLabels is pass 2: stream the bands again (the band decomposition
 // and band-local labelings are deterministic, so the labels reappear
-// exactly) and write them through image.LabelPGMWriter, each band's labels
-// lifted to their roots in the final forest.
+// exactly), replay the frontier over each band's boundary rows, and write
+// the labels through image.LabelPGMWriter. A label's band-time root is its
+// set's root in the band forest when its seed lies in the top row, and its
+// own lifted seed otherwise; pass 1's merges, united into a UnionFind64
+// before the first band, map it to the final root. All of it is timed
+// under band_write.
 func (p *pipeline) writeLabels(out io.Writer, components int64) error {
 	W := p.hdr.Width
 	lw, err := image.NewLabelPGMWriter(out, W, p.hdr.Height, components)
 	if err != nil {
 		return err
 	}
-	err = p.forEachBand(0, func(r0, rows, _ int) error {
+	final := NewUnionFind64()
+	for k := 0; k+1 < len(p.fr.merges); k += 2 {
+		final.Unite(p.fr.merges[k], p.fr.merges[k+1])
+	}
+	f := newFrontier(W, 0, false)
+	root := func(l uint32) uint64 { return final.Find(f.root(l)) }
+	err = p.forEachBand(0, func(r0, rows, comps int) error {
 		t := p.rec.StartPhase()
 		defer p.rec.EndPhase("band_write", "", t)
-		base := uint64(r0) * uint64(W)
-		return lw.WriteRows(p.lab[:rows*W], func(l uint32) uint64 { return p.uf.Find(base + uint64(l)) })
+		pix, lab := p.pix[:rows*W], p.lab[:rows*W]
+		if err := f.begin(uint64(r0)*uint64(W), pix, comps); err != nil {
+			return err
+		}
+		f.seam(pix, lab, p.conn, p.mode, &p.stop)
+		if err := p.interrupted(); err != nil {
+			return err
+		}
+		f.commit(lab[(rows-1)*W:], false)
+		return lw.WriteRows(lab, root)
 	})
 	if err != nil {
 		return err
@@ -506,8 +478,8 @@ func (p *pipeline) writeLabels(out io.Writer, components int64) error {
 }
 
 // bandCommitted runs after band (0-based index) has fully committed its
-// census state — merge done, fragment sizes folded in, boundary rows
-// saved. It first polls the band_commit fault site (rank 0, round =
+// census state — merge done, pixels folded in, closed components counted,
+// slot row rebuilt. It first polls the band_commit fault site (rank 0, round =
 // band+1): Delay sleeps in place, Crash abandons the run exactly as a
 // process death here would, and Panic raises the injected payload. Then,
 // when checkpointing is on, it rewrites the checkpoint record on the

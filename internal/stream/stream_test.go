@@ -347,7 +347,7 @@ func TestStreamMetrics(t *testing.T) {
 	if got := rec.Counter(obs.CtrBands); got != int64(2*res.Bands) {
 		t.Errorf("bands counter = %d, want %d", got, 2*res.Bands)
 	}
-	want := []string{"band_decode", "strip_label", "band_merge", "band_write"}
+	want := []string{"band_decode", "strip_label", "band_merge", "census_fold", "band_write"}
 	if runtime.GOMAXPROCS(0) >= 2 {
 		want = append(want, "border_merge", "relabel")
 	}

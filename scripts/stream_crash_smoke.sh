@@ -11,7 +11,9 @@
 #      IMGCC_STREAM_STALL_BAND hook so the census pass parks at a known
 #      band, then kill -9 the process mid-run once a checkpoint record
 #      exists — and assert the interrupted run left no partial -out or
-#      -census-json at the target paths,
+#      -census-json at the target paths, and that the surviving record is
+#      smaller than 4 KiB: it holds the frontier of open components (at
+#      most 32 stripes here), not every component seen so far,
 #   4. resume run: -resume from the surviving checkpoint, assert it
 #      reports the resumed band, and byte-compare its census JSON and
 #      label PGM against the reference — crash recovery must be exact,
@@ -65,6 +67,13 @@ for f in "$WORKDIR/crashed.pgm" "$WORKDIR/crashed.json"; do
         exit 1
     fi
 done
+
+RECORD_BYTES=$(wc -c < "$CKPT")
+echo "crash-smoke: surviving checkpoint record holds $RECORD_BYTES bytes"
+if [ "$RECORD_BYTES" -ge 4096 ]; then
+    echo "crash-smoke: checkpoint record should stay under 4 KiB on a 64-column image" >&2
+    exit 1
+fi
 
 echo "crash-smoke: resuming from the checkpoint"
 "$WORKDIR/imgcc" -stream -in "$WORKDIR/tall.pgm" -band-rows 4096 -top 3 \

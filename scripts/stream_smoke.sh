@@ -45,7 +45,7 @@ grep -q '4480 connected components' "$WORKDIR/label.out" || {
 
 echo "stream-smoke: validating the metrics document"
 "$WORKDIR/metricscheck" "$WORKDIR/metrics.json"
-for phase in band_decode strip_label band_merge band_write; do
+for phase in band_decode strip_label band_merge census_fold band_write; do
     grep -q "\"$phase\"" "$WORKDIR/metrics.json" || {
         echo "stream-smoke: metrics document is missing phase $phase" >&2
         exit 1
