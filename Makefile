@@ -56,9 +56,12 @@ fuzz-short:
 # Chaos suite under the race detector: injected panics, delays and
 # barrier no-shows, cooperative cancellation, the barrier watchdog, and
 # the goroutine leak checks — across the simulator and host-parallel
-# backends (used by the CI chaos job).
+# backends (used by the CI chaos job). The engine's cancellation, close
+# and injected-fault tests run again at one and at four procs: where a
+# stop lands inside a strip's row loop depends on the schedule.
 chaos-short:
 	$(GO) test -race -timeout 5m -run 'Chaos|Injected|Watchdog|RunContext|LabelContext|HistogramContext|Abort|Timeout|Checkpoint|Resume|Corrupt|Mismatch|Deadline|Saturation|Shutdown' . ./internal/bdm/ ./internal/par/ ./internal/hist/ ./internal/cc/ ./internal/cli/ ./internal/fault/... ./internal/serve/ ./internal/stream/
+	$(GO) test -race -cpu 1,4 -timeout 5m -run 'Injected|Context|Chaos|Close' ./internal/par/
 
 # End-to-end smoke test of the labeling service: build and start imgccd,
 # wait for /healthz, POST the DARPA benchmark scene, diff the census

@@ -141,9 +141,12 @@ func render(buf *bytes.Buffer, spec parimg.MachineSpec, p, n, W int) {
 	fmt.Fprintf(buf, "\nReading: the modeled split is dominated by init (the local tile\n"+
 		"labeling) and the final update, with the log p merge rounds in between —\n"+
 		"the Section 5 shape. The measured split shows the same structure on real\n"+
-		"goroutines: strip labeling dominates, the border merge is the cheap\n"+
-		"O(side) seam pass, and the relabel pays one forest lookup per run of\n"+
-		"a strip's first and last rows plus one compare per run.\n"+
+		"goroutines: the border merge is the cheap O(side) seam pass between\n"+
+		"strip labeling (packing, run extraction and the run unites, which\n"+
+		"paint only a strip's first and last rows) and the relabel, which is\n"+
+		"the one paint: one forest lookup per run of a strip's first and last\n"+
+		"rows, then one span write per run. Like the modeled final update, it\n"+
+		"is where interior pixels get their final labels.\n"+
 		"Wall times are container-dependent; the shares are the reproducible part.\n")
 }
 

@@ -18,7 +18,7 @@ package image
 // A byte cannot represent grey levels above 255. SetRowsPix reports
 // whether any packed pixel was truncated; callers with such "wide" strips
 // must take a full-width extraction path over the raw pixels instead (the
-// run labeler's LabelGreyStrip does exactly that).
+// run labeler's seq.BandLabeler.LabelRows does exactly that).
 type Byteplane struct {
 	// N is the row width in pixels (the image side of a square plane).
 	N int

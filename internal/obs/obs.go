@@ -11,8 +11,8 @@
 // captures exactly that split for one run:
 //
 //   - wall-clock phases, measured with monotonic timers around each engine
-//     phase of a host-parallel run (strip labeling, border merge, final
-//     relabel);
+//     phase of a host-parallel run (strip labeling, border merge, the
+//     final paint, named "relabel");
 //   - modeled phases, the simulated seconds of each stage of a BDM run
 //     (initialization, each merge iteration, the final update);
 //   - modeled communication volume per primitive: the number of charged
@@ -20,7 +20,7 @@
 //     moved, attributed to the communication label active at Sync time
 //     (transpose, broadcast, collect, border fetch, change distribution);
 //   - operation counters (union-find finds and unites, border pairs,
-//     extracted runs, relabeled pixels), accumulated atomically.
+//     extracted runs), accumulated atomically.
 //
 // The disabled path is allocation-free and near-free in time: a nil
 // *Recorder is a valid recorder whose methods are no-ops, so engine code
@@ -68,8 +68,9 @@ const (
 	// CtrBorderLinks counts border unions that actually linked two
 	// distinct sets (strip components minus links = final components).
 	CtrBorderLinks
-	// CtrUFFinds counts the seam-forest lookups of the final relabel: one
-	// per run of each strip's first and last rows.
+	// CtrUFFinds counts the seam-forest lookups of the final paint: one
+	// per run of each strip's first and last rows, made before the paint
+	// writes every run once with its merged root.
 	CtrUFFinds
 	// CtrRuns counts maximal foreground runs extracted by the run-based
 	// strip engine in binary mode.
@@ -77,9 +78,6 @@ const (
 	// CtrGreyRuns counts maximal equal-grey-level runs (segments)
 	// extracted by the run-based strip engine in grey mode.
 	CtrGreyRuns
-	// CtrRelabeledPixels counts pixels whose label the final update
-	// rewrote (pixels whose strip-local label was not already the root).
-	CtrRelabeledPixels
 	// CtrBands counts band windows the out-of-core streaming pipeline
 	// decoded and labeled (each pass over the image counts its own bands).
 	CtrBands
@@ -111,8 +109,6 @@ func (c Counter) String() string {
 		return "runs"
 	case CtrGreyRuns:
 		return "grey_runs"
-	case CtrRelabeledPixels:
-		return "relabeled_pixels"
 	case CtrBands:
 		return "bands"
 	case CtrCheckpoints:

@@ -206,7 +206,7 @@ func TestSnapshotIsIndependentCopy(t *testing.T) {
 func TestCounterNamesAreStable(t *testing.T) {
 	names := CounterNames()
 	want := []string{"bands", "border_edges", "border_links", "border_pairs",
-		"checkpoints", "grey_runs", "relabeled_pixels", "resume_band", "runs",
+		"checkpoints", "grey_runs", "resume_band", "runs",
 		"strip_components", "uf_finds"}
 	if len(names) != len(want) {
 		t.Fatalf("counter names = %v", names)

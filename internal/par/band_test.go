@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"parimg/internal/errs"
@@ -130,4 +131,53 @@ func TestLabelBandTypedErrors(t *testing.T) {
 			t.Errorf("%s: rejecting the band allocated %d bytes", c.name, grew)
 		}
 	}
+}
+
+// TestLabelBandExhaustiveSmallScope enumerates small bands instead of
+// sampling them: every binary 4x4 image and every 3x3 image over grey
+// levels {0, 1, 2} in grey mode, at both connectivities, through one
+// reused engine at each of one to four workers, into a dirty label
+// buffer. At four workers a 4x4 band is four one-row strips, where a
+// strip's first row is also its last; the stream sweep's one- and two-row
+// bands never split into strips. Labels and the component count must
+// equal the band-local BFS.
+func TestLabelBandExhaustiveSmallScope(t *testing.T) {
+	engines := make([]*Engine, 4)
+	for w := range engines {
+		engines[w] = NewEngine(w + 1)
+	}
+	sweep := func(t *testing.T, rows, cols, levels int, mode seq.Mode) {
+		pix := make([]uint32, rows*cols)
+		lab := make([]uint32, rows*cols)
+		images := 1
+		for range pix {
+			images *= levels
+		}
+		for code := 0; code < images; code++ {
+			for i, c := 0, code; i < len(pix); i, c = i+1, c/levels {
+				pix[i] = uint32(c % levels)
+			}
+			for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
+				want, wantComps := bandOracle(pix, rows, cols, conn, mode)
+				for _, e := range engines {
+					for i := range lab {
+						lab[i] = 0xdeadbeef
+					}
+					comps, err := e.LabelBand(nil, pix, rows, cols, conn, mode, lab)
+					if err == nil && comps == wantComps && slices.Equal(lab, want) {
+						continue
+					}
+					name := fmt.Sprintf("%dx%d image %v conn%d workers=%d",
+						rows, cols, pix, int(conn), e.Workers())
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					t.Fatalf("%s: %d components, labels %v; want %d, %v",
+						name, comps, lab, wantComps, want)
+				}
+			}
+		}
+	}
+	t.Run("binary4x4", func(t *testing.T) { sweep(t, 4, 4, 2, seq.Binary) })
+	t.Run("grey3x3", func(t *testing.T) { sweep(t, 3, 3, 3, seq.Grey) })
 }

@@ -49,7 +49,7 @@ func (e *Engine) LabelContext(ctx context.Context, im *image.Image,
 		return nil, err
 	}
 	out := image.NewLabels(im.N)
-	if _, err := e.labelInto(ctx, "par.Label", im.Pix, im.N, im.N, conn, mode, out.Lab, false); err != nil {
+	if _, err := e.labelInto(ctx, "par.Label", im.Pix, im.N, im.N, conn, mode, out.Lab); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -72,7 +72,7 @@ func (e *Engine) LabelIntoContext(ctx context.Context, im *image.Image,
 		return 0, errs.Geometry("par.LabelInto", im.N, 0,
 			"labeling side %d does not match image side %d", out.N, im.N)
 	}
-	return e.labelInto(ctx, "par.LabelInto", im.Pix, im.N, im.N, conn, mode, out.Lab, true)
+	return e.labelInto(ctx, "par.LabelInto", im.Pix, im.N, im.N, conn, mode, out.Lab)
 }
 
 // LabelBand labels the rows x cols band in pix (row-major) into lab and
@@ -103,7 +103,7 @@ func (e *Engine) LabelBand(ctx context.Context, pix []uint32, rows, cols int,
 	if err := checkConnMode(op, conn, mode); err != nil {
 		return 0, err
 	}
-	return e.labelInto(ctx, op, pix, rows, cols, conn, mode, lab, true)
+	return e.labelInto(ctx, op, pix, rows, cols, conn, mode, lab)
 }
 
 // labelInto owns the call's cancellation lifecycle around the strip
@@ -112,7 +112,7 @@ func (e *Engine) LabelBand(ctx context.Context, pix []uint32, rows, cols int,
 // call starts from fresh per-call state (run tables, an emptied seam
 // forest), so an interrupted call leaves the engine immediately reusable.
 func (e *Engine) labelInto(ctx context.Context, op string, pix []uint32, rows, cols int,
-	conn image.Connectivity, mode seq.Mode, lab []uint32, clear bool) (int, error) {
+	conn image.Connectivity, mode seq.Mode, lab []uint32) (int, error) {
 	if err := e.begin(op, ctx); err != nil {
 		return 0, err
 	}
@@ -121,7 +121,7 @@ func (e *Engine) labelInto(ctx context.Context, op string, pix []uint32, rows, c
 	for i := range e.bands {
 		e.bands[i].SetStop(flag)
 	}
-	comps := e.labelBand(pix, rows, cols, conn, mode, lab, clear)
+	comps := e.labelBand(pix, rows, cols, conn, mode, lab)
 	if err := e.runError(); err != nil {
 		return 0, err
 	}
@@ -134,8 +134,9 @@ func (e *Engine) labelInto(ctx context.Context, op string, pix []uint32, rows, c
 // boundary w (between strips w-1 and w) it extracts the union edges of the
 // two facing pixel rows with AppendBoundaryEdges and unites them into the
 // forest with ResolveBoundary — the same seam the streaming pipeline runs
-// between bands. Strip labels must already be painted into lab. Only
-// labels that reach a seam enter the forest, and the whole seam is a
+// between bands. Each strip's first and last rows must already be painted
+// into lab with their strip-local labels (seq.BandLabeler.PaintEdges).
+// Only labels that reach a seam enter the forest, and the whole seam is a
 // small fraction of a call, so it gains nothing from parallelism. Leaves
 // the link, pair and edge tallies in e.links, e.pairs and e.edges.
 func (e *Engine) borderMerge(pix, lab []uint32, rows, cols int,

@@ -15,16 +15,18 @@
 //     horizontal strip per worker (contiguous in the row-major pixel
 //     array, so strips are labeled in place with no scatter/gather). Each
 //     worker labels its strip with its own seq.BandLabeler: it packs the
-//     strip's rows, scans them into maximal runs and labels the runs with
-//     a strip-local union-find, using band-unique seed labels (band
-//     row-major index of a run's first pixel + 1). Each strip boundary is
-//     then reduced to the union edges of its two facing pixel rows, which
-//     are united in order into one sparse forest holding only the labels
-//     that reach a seam, and a final parallel pass retargets the fragments
-//     each strip's first and last rows reach and repaints just their runs.
-//     Unite-by-minimum makes every root the component's minimum seed
-//     label, so the result is pixel-for-pixel identical to seq.LabelBFS,
-//     not merely equivalent up to renaming.
+//     strip's rows, scans them into maximal runs and unites the runs in a
+//     strip-local union-find, using band-unique seed labels (band
+//     row-major index of a run's first pixel + 1), and paints only the
+//     strip's first and last rows. Each strip boundary is then reduced to
+//     the union edges of its two facing pixel rows, which are united in
+//     order into one sparse forest holding only the labels that reach a
+//     seam. A final parallel pass maps the fragments each strip's first
+//     and last rows reach through the forest and paints every run once,
+//     with its final label; a one-strip band skips the seam and paints
+//     straight away. Unite-by-minimum makes every root the component's
+//     minimum seed label, so the result is pixel-for-pixel identical to
+//     seq.LabelBFS, not merely equivalent up to renaming.
 //
 //   - Histogramming: per-worker tallies of each strip into sharded k-bucket
 //     arrays, merged pairwise in a tree of log(workers) parallel rounds,
@@ -65,8 +67,7 @@ type Engine struct {
 	pairs   int64             // boundary pixel pairs of the current call (pre-dedup)
 	edges   int64             // boundary union edges of the current call
 	comps   []int             // per-worker strip component counts
-	finds   []int64           // per-worker forest lookups (final update)
-	relab   []int64           // per-worker pixels rewritten in the final update
+	finds   []int64           // per-worker forest lookups (final paint)
 	shards  [][]int64         // per-worker histogram tallies
 	errs    []error           // per-worker tally errors
 
@@ -103,7 +104,6 @@ func NewEngine(workers int) *Engine {
 		bands:   make([]seq.BandLabeler, workers),
 		comps:   make([]int, workers),
 		finds:   make([]int64, workers),
-		relab:   make([]int64, workers),
 		shards:  make([][]int64, workers),
 		errs:    make([]error, workers),
 		wpanic:  make([]error, workers),

@@ -7,16 +7,17 @@ import (
 )
 
 // labelBand is the strip engine over one rows x cols band: each worker
-// labels its strip with its own seq.BandLabeler — packed rows scanned
-// word-at-a-time into maximal runs (foreground runs over the bit plane in
-// Binary mode, equal-grey-level runs over the byte plane in Grey mode), a
-// strip-local union-find over runs with unite-by-minimum, and span-write
-// painting (Phase 1); the seam between each pair of adjacent strips,
-// extracted from the two facing pixel rows and united into one sparse
-// forest that holds only the labels reaching a seam (Phase 2); and a
-// strip-local relabel that looks up the forest once per run of a strip's
-// first and last rows and repaints only the runs whose root moved
-// (Phase 3).
+// builds its strip's run table with its own seq.BandLabeler — packed rows
+// scanned word-at-a-time into maximal runs (foreground runs over the bit
+// plane in Binary mode, equal-grey-level runs over the byte plane in Grey
+// mode) and a strip-local union-find over runs with unite-by-minimum — and
+// paints only the strip's first and last rows (Phase 1); the seam between
+// each pair of adjacent strips, extracted from the two facing pixel rows
+// and united into one sparse forest that holds only the labels reaching a
+// seam (Phase 2); and one paint per strip, which looks up the forest once
+// per run of the strip's first and last rows and then writes every run
+// once with its final label (Phase 3, still named "relabel"). A one-strip
+// band has no seam, so its labeler paints inside Phase 1.
 //
 // Exactness: a run's seed label is the band row-major index of its first
 // pixel plus one, and the minimum-index pixel of any component fragment
@@ -26,29 +27,29 @@ import (
 // BFS assigns. The result is therefore pixel-for-pixel identical to
 // seq.LabelBFS over the band, not merely equivalent up to renaming.
 func (e *Engine) labelBand(pix []uint32, rows, cols int, conn image.Connectivity,
-	mode seq.Mode, lab []uint32, clear bool) int {
+	mode seq.Mode, lab []uint32) int {
 	W := e.stripCount(rows)
 	if W == 1 {
 		// Single strip: no borders to merge, and no parallelDo closure
 		// to allocate — the whole call is allocation-free at steady state
 		// (the phase marks are nil-safe no-ops with metrics disabled).
 		t0 := e.obs.StartPhase()
-		comps := e.bands[0].LabelRows(pix, 0, rows, cols, conn, mode, clear, lab)
+		comps := e.bands[0].Label(pix, rows, cols, conn, mode, lab)
 		e.obs.EndPhase("strip_label", "", t0)
 		e.obs.Add(obs.CtrStripComponents, int64(comps))
 		e.obs.Add(runCounter(mode), int64(len(e.bands[0].Runs())/2))
 		return comps
 	}
 
-	// Phase 1 — each worker packs and run-labels its own strip:
-	// extraction, vertical unites and the paint pass all happen
-	// strip-locally with band-unique seed labels.
+	// Phase 1 — each worker packs and run-labels its own strip with
+	// band-unique seed labels, and paints only the strip's first and last
+	// rows, the ones the seams read.
 	e.phase("strip_label", func() {
 		e.parallelDo(W, func(w int) {
 			e.checkFault("strip_label", w, 1)
 			r0, r1 := stripBounds(w, W, rows)
-			e.comps[w] = e.bands[w].LabelRows(pix[r0*cols:r1*cols], r0, r1-r0, cols,
-				conn, mode, clear, lab[r0*cols:r1*cols])
+			e.comps[w] = e.bands[w].LabelRows(pix[r0*cols:r1*cols], r0, r1-r0, cols, conn, mode)
+			e.bands[w].PaintEdges(lab[r0*cols : r1*cols])
 		})
 	})
 	if e.interrupted() {
@@ -64,13 +65,14 @@ func (e *Engine) labelBand(pix []uint32, rows, cols int, conn image.Connectivity
 		return 0
 	}
 
-	// Phase 3 — each worker retargets the fragments its boundary rows
-	// reach and repaints their runs; the forest is only read from here on.
+	// Phase 3 — each worker maps the fragments its boundary rows reach
+	// through the forest and paints every run of its strip once, with its
+	// final label; the forest is only read from here on.
 	e.phase("relabel", func() {
 		e.parallelDo(W, func(w int) {
 			e.checkFault("relabel", w, 1)
 			r0, r1 := stripBounds(w, W, rows)
-			e.finds[w], e.relab[w] = e.bands[w].Relabel(lab[r0*cols:r1*cols], cols, e.forest.Root)
+			e.finds[w] = e.bands[w].Paint(lab[r0*cols:r1*cols], e.forest.Root)
 		})
 	})
 	if e.interrupted() {
@@ -82,12 +84,11 @@ func (e *Engine) labelBand(pix []uint32, rows, cols int, conn image.Connectivity
 		total += e.comps[w]
 	}
 	if e.obs != nil {
-		var comps, runs, finds, relab int64
+		var comps, runs, finds int64
 		for w := 0; w < W; w++ {
 			comps += int64(e.comps[w])
 			runs += int64(len(e.bands[w].Runs()) / 2)
 			finds += e.finds[w]
-			relab += e.relab[w]
 		}
 		e.obs.Add(obs.CtrStripComponents, comps)
 		e.obs.Add(runCounter(mode), runs)
@@ -95,7 +96,6 @@ func (e *Engine) labelBand(pix []uint32, rows, cols int, conn image.Connectivity
 		e.obs.Add(obs.CtrBorderPairs, e.pairs)
 		e.obs.Add(obs.CtrBorderEdges, e.edges)
 		e.obs.Add(obs.CtrUFFinds, finds)
-		e.obs.Add(obs.CtrRelabeledPixels, relab)
 	}
 	return total
 }

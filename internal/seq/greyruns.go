@@ -4,18 +4,18 @@ import (
 	"parimg/internal/image"
 )
 
-// This file generalizes the run-based labeler of runs.go from binary
-// foreground runs to maximal equal-grey-level runs, the representation
-// Gupta et al.'s two-pass parallel CCL and Chen et al.'s coarse-to-fine
-// extraction use for grey imagery: a run is a maximal horizontal span of
-// pixels sharing one nonzero grey level, vertically adjacent runs are
-// united only when their grey levels match, and painting is unchanged (a
-// run is still uniformly labeled). Seed labels remain the global row-major
-// index of the run's first pixel plus one, and the minimum-index pixel of
-// any grey component fragment necessarily starts a run (its left neighbor
-// is background or a different grey level — either way a run boundary), so
-// unite-by-minimum again reproduces seq.LabelBFS in Grey mode pixel for
-// pixel.
+// This file generalizes the run extraction and row unite of runs.go from
+// binary foreground runs to maximal equal-grey-level runs, the
+// representation Gupta et al.'s two-pass parallel CCL and Chen et al.'s
+// coarse-to-fine extraction use for grey imagery: a run is a maximal
+// horizontal span of pixels sharing one nonzero grey level, vertically
+// adjacent runs are united only when their grey levels match, and painting
+// is unchanged (a run is still uniformly labeled). Seed labels remain the
+// global row-major index of the run's first pixel plus one, and the
+// minimum-index pixel of any grey component fragment necessarily starts a
+// run (its left neighbor is background or a different grey level — either
+// way a run boundary), so unite-by-minimum again reproduces seq.LabelBFS
+// in Grey mode pixel for pixel.
 
 // splat8 has the low bit of every byte set; multiplying a byte value by it
 // broadcasts the value into all eight byte lanes of a word.
@@ -103,55 +103,6 @@ func AppendGreyRunsPix(row []uint32, dst []int32, vals []uint32) ([]int32, []uin
 	return dst, vals
 }
 
-// LabelGreyStrip labels the rows x cols strip — Grey mode: adjacent
-// pixels connect only when they share one nonzero grey level — into lab,
-// the strip's rows*cols label slice, with the same seed-label, clear and
-// return contracts as LabelStrip: plane and pixel row i are strip row i,
-// and r0, the strip's first row within its band, only offsets the seeds.
-// Runs are extracted from bp when non-nil (the byte-packed fast path; the
-// caller must have verified the packed rows are not truncated) and from
-// pix, the strip's row-major pixels, otherwise (the full-width fallback
-// for grey levels above 255).
-func (rl *RunLabeler) LabelGreyStrip(bp *image.Byteplane, pix []uint32, r0, rows, cols int,
-	conn image.Connectivity, clear bool, lab []uint32) int {
-	rl.runs = rl.runs[:0]
-	rl.vals = rl.vals[:0]
-	rl.seed = rl.seed[:0]
-	rl.parent = rl.parent[:0]
-	rl.rowOff = rl.rowOff[:0]
-
-	// Pass one: extract each row's grey runs and unite them with the
-	// like-colored adjacent runs of the row above.
-	unites := 0
-	prevLo := 0
-	for i := 0; i < rows; i++ {
-		if rl.Stop != nil && rl.Stop.Load() {
-			rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
-			return 0
-		}
-		rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
-		curLo := len(rl.parent)
-		if bp != nil {
-			rl.runs, rl.vals = AppendGreyRuns(bp.Row(i), rl.runs, rl.vals)
-		} else {
-			rl.runs, rl.vals = AppendGreyRunsPix(pix[i*cols:(i+1)*cols], rl.runs, rl.vals)
-		}
-		base := uint32((r0+i)*cols) + 1
-		for k := curLo; k < len(rl.runs)/2; k++ {
-			rl.seed = append(rl.seed, base+uint32(rl.runs[2*k]))
-			rl.parent = append(rl.parent, int32(k))
-		}
-		if i > 0 {
-			unites += rl.uniteRowsGrey(prevLo, curLo, len(rl.parent), conn)
-		}
-		prevLo = curLo
-	}
-	rl.rowOff = append(rl.rowOff, int32(len(rl.runs)))
-
-	rl.paint(rows, cols, clear, lab)
-	return len(rl.parent) - unites
-}
-
 // uniteRowsGrey unites each run of the current row [curLo, curHi) with
 // every run of the previous row [prevLo, curLo) that is both adjacent
 // under the connectivity and of the same grey level. Unlike the binary
@@ -166,7 +117,7 @@ func (rl *RunLabeler) LabelGreyStrip(bp *image.Byteplane, pix []uint32, r0, rows
 // examined is a genuine adjacency candidate, so the sweep stays linear in
 // runs plus adjacent pairs. Returns the number of unites that merged two
 // distinct sets.
-func (rl *RunLabeler) uniteRowsGrey(prevLo, curLo, curHi int, conn image.Connectivity) int {
+func (b *BandLabeler) uniteRowsGrey(prevLo, curLo, curHi int, conn image.Connectivity) int {
 	var win int32
 	if conn == image.Conn8 {
 		win = 1
@@ -174,30 +125,15 @@ func (rl *RunLabeler) uniteRowsGrey(prevLo, curLo, curHi int, conn image.Connect
 	unites := 0
 	p := prevLo
 	for c := curLo; c < curHi; c++ {
-		b0, b1 := rl.runs[2*c], rl.runs[2*c+1]
-		for p < curLo && rl.runs[2*p+1]+win <= b0 {
+		b0, b1 := b.runs[2*c], b.runs[2*c+1]
+		for p < curLo && b.runs[2*p+1]+win <= b0 {
 			p++
 		}
-		for q := p; q < curLo && rl.runs[2*q] < b1+win; q++ {
-			if rl.vals[q] == rl.vals[c] && rl.unite(int32(q), int32(c)) {
+		for q := p; q < curLo && b.runs[2*q] < b1+win; q++ {
+			if b.vals[q] == b.vals[c] && b.unite(int32(q), int32(c)) {
 				unites++
 			}
 		}
 	}
 	return unites
-}
-
-// LabelRunsGrey labels a whole grey image with the run-based two-pass
-// algorithm. The result is pixel-for-pixel identical to LabelBFS with Grey
-// mode. It is the sequential grey run-based baseline; hot paths should
-// reuse a RunLabeler and Byteplane via the parallel engine instead.
-func LabelRunsGrey(im *image.Image, conn image.Connectivity) *image.Labels {
-	bp, wide := image.NewByteplane(im)
-	if wide {
-		bp = nil
-	}
-	out := image.NewLabels(im.N)
-	var rl RunLabeler
-	rl.LabelGreyStrip(bp, im.Pix, 0, im.N, im.N, conn, false, out.Lab)
-	return out
 }

@@ -130,9 +130,9 @@ func TestAppendGreyRunsMatchesPixelScan(t *testing.T) {
 	}
 }
 
-// TestLabelRunsGreyMatchesBFS checks the sequential grey run labeler
-// against LabelBFS in Grey mode, exactly, across the catalog, the DARPA
-// scene, and random grey sweeps, both connectivities.
+// TestLabelRunsGreyMatchesBFS checks the grey run labeler against
+// LabelBFS in Grey mode, exactly, across the catalog, the DARPA scene, and
+// random grey sweeps, both connectivities.
 func TestLabelRunsGreyMatchesBFS(t *testing.T) {
 	var inputs []*image.Image
 	for _, id := range image.AllPatterns() {
@@ -147,7 +147,7 @@ func TestLabelRunsGreyMatchesBFS(t *testing.T) {
 	for ii, im := range inputs {
 		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 			want := LabelBFS(im, conn, Grey)
-			got := LabelRunsGrey(im, conn)
+			got := labelRuns(im, conn, Grey)
 			for i := range want.Lab {
 				if got.Lab[i] != want.Lab[i] {
 					t.Fatalf("input %d %v: pixel %d: got %d, want %d",
@@ -173,7 +173,7 @@ func TestLabelRunsGreyWideLevels(t *testing.T) {
 	}
 	for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 		want := LabelBFS(im, conn, Grey)
-		got := LabelRunsGrey(im, conn)
+		got := labelRuns(im, conn, Grey)
 		for i := range want.Lab {
 			if got.Lab[i] != want.Lab[i] {
 				t.Fatalf("%v: pixel %d: got %d, want %d", conn, i, got.Lab[i], want.Lab[i])
@@ -229,7 +229,7 @@ func TestGreyRunTouchingDiagonals(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 				want := LabelBFS(c.im, conn, Grey)
-				got := LabelRunsGrey(c.im, conn)
+				got := labelRuns(c.im, conn, Grey)
 				for i := range want.Lab {
 					if got.Lab[i] != want.Lab[i] {
 						t.Fatalf("%v: pixel %d: got %d, want %d", conn, i, got.Lab[i], want.Lab[i])
@@ -240,17 +240,13 @@ func TestGreyRunTouchingDiagonals(t *testing.T) {
 	}
 }
 
-func BenchmarkLabelRunsGrey(b *testing.B) {
+func BenchmarkBandLabelGrey(b *testing.B) {
 	im := image.DARPAScene(1024, 256, 1994)
-	bp, wide := image.NewByteplane(im)
-	if wide {
-		b.Fatal("darpa scene should pack into bytes")
-	}
 	out := image.NewLabels(im.N)
-	var rl RunLabeler
+	var bl BandLabeler
 	b.SetBytes(int64(im.N * im.N))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rl.LabelGreyStrip(bp, im.Pix, 0, im.N, im.N, image.Conn8, true, out.Lab)
+		bl.Label(im.Pix, im.N, im.N, image.Conn8, Grey, out.Lab)
 	}
 }

@@ -85,14 +85,23 @@ func TestFill32(t *testing.T) {
 	}
 }
 
-// TestLabelRunsMatchesBFSCatalog checks the sequential run-based labeler
-// against LabelBFS on the nine patterns, exactly, both connectivities.
+// labelRuns labels a whole image with one BandLabeler.Label call, the
+// run-based two-pass labeler over one strip.
+func labelRuns(im *image.Image, conn image.Connectivity, mode Mode) *image.Labels {
+	out := image.NewLabels(im.N)
+	var b BandLabeler
+	b.Label(im.Pix, im.N, im.N, conn, mode, out.Lab)
+	return out
+}
+
+// TestLabelRunsMatchesBFSCatalog checks the run-based labeler against
+// LabelBFS on the nine patterns, exactly, both connectivities.
 func TestLabelRunsMatchesBFSCatalog(t *testing.T) {
 	for _, id := range image.AllPatterns() {
 		im := image.Generate(id, 64)
 		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 			want := LabelBFS(im, conn, Binary)
-			got := LabelRuns(im, conn)
+			got := labelRuns(im, conn, Binary)
 			for i := range want.Lab {
 				if got.Lab[i] != want.Lab[i] {
 					t.Fatalf("%v/%v: pixel %d: got %d, want %d",
@@ -110,7 +119,7 @@ func TestLabelRunsRandom(t *testing.T) {
 			im := image.RandomBinary(n, density, uint64(n)+uint64(100*density))
 			for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {
 				want := LabelBFS(im, conn, Binary)
-				got := LabelRuns(im, conn)
+				got := labelRuns(im, conn, Binary)
 				for i := range want.Lab {
 					if got.Lab[i] != want.Lab[i] {
 						t.Fatalf("n=%d d=%g %v: pixel %d: got %d, want %d",
@@ -122,15 +131,14 @@ func TestLabelRunsRandom(t *testing.T) {
 	}
 }
 
-// TestRunLabelerStripComponents checks the strip component count against
-// the BFS labeler over single-strip images.
-func TestRunLabelerStripComponents(t *testing.T) {
+// TestBandLabelerStripComponents checks the component count Label returns
+// against the BFS labeler over single-strip images.
+func TestBandLabelerStripComponents(t *testing.T) {
 	for _, n := range []int{8, 33, 64} {
 		im := image.RandomBinary(n, 0.5, uint64(n))
-		bp := image.NewBitplane(im)
 		out := image.NewLabels(n)
-		var rl RunLabeler
-		comps := rl.LabelStrip(bp, 0, n, image.Conn8, true, out.Lab)
+		var b BandLabeler
+		comps := b.Label(im.Pix, n, n, image.Conn8, Binary, out.Lab)
 		want := LabelBFS(im, image.Conn8, Binary)
 		if wc := want.Components(); comps != wc {
 			t.Fatalf("n=%d: %d components, want %d", n, comps, wc)
@@ -138,17 +146,16 @@ func TestRunLabelerStripComponents(t *testing.T) {
 	}
 }
 
-// TestRunLabelerClearPaintsGaps checks that clear=true zeroes stale
-// background without a separate clear pass.
-func TestRunLabelerClearPaintsGaps(t *testing.T) {
+// TestBandLabelerClearsGaps checks that the paint zeroes stale background
+// in a dirty label buffer without a separate clear pass.
+func TestBandLabelerClearsGaps(t *testing.T) {
 	im := image.RandomBinary(40, 0.5, 11)
-	bp := image.NewBitplane(im)
 	out := image.NewLabels(40)
 	for i := range out.Lab {
 		out.Lab[i] = 0xdeadbeef
 	}
-	var rl RunLabeler
-	rl.LabelStrip(bp, 0, 40, image.Conn4, true, out.Lab)
+	var b BandLabeler
+	b.Label(im.Pix, 40, 40, image.Conn4, Binary, out.Lab)
 	want := LabelBFS(im, image.Conn4, Binary)
 	for i := range want.Lab {
 		if out.Lab[i] != want.Lab[i] {
@@ -157,17 +164,16 @@ func TestRunLabelerClearPaintsGaps(t *testing.T) {
 	}
 }
 
-func BenchmarkLabelRuns(b *testing.B) {
+func BenchmarkBandLabelBinary(b *testing.B) {
 	for _, n := range []int{512, 1024} {
 		im := image.Generate(image.DualSpiral, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			bp := image.NewBitplane(im)
 			out := image.NewLabels(n)
-			var rl RunLabeler
+			var bl BandLabeler
 			b.SetBytes(int64(n * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rl.LabelStrip(bp, 0, n, image.Conn8, true, out.Lab)
+				bl.Label(im.Pix, n, n, image.Conn8, Binary, out.Lab)
 			}
 		})
 	}

@@ -11,7 +11,11 @@
 #      (cmd/metricscheck) and check the streaming band phases are there,
 #   4. re-stream the 16-bit label PGM in grey mode — every dense label is
 #      one flat component, so the count must come back unchanged — which
-#      exercises the 2-byte big-endian streaming decode path end to end.
+#      exercises the 2-byte big-endian streaming decode path end to end,
+#   5. label the DARPA scene (grey, 64-row bands) and the striped image at
+#      GOMAXPROCS=1 and at GOMAXPROCS=4 and byte-compare each pair of
+#      label PGMs: at one proc every band is one strip, at four procs
+#      every band is four strips, and the labels must not depend on that.
 #
 # Needs: go. Exits non-zero on the first failure.
 set -euo pipefail
@@ -63,5 +67,19 @@ grep -q '4480 connected components' "$WORKDIR/relabel.out" || {
     echo "stream-smoke: re-streamed label PGM should have 4480 components" >&2
     exit 1
 }
+
+echo "stream-smoke: labels must not depend on the strip split (GOMAXPROCS 1 against 4)"
+for procs in 1 4; do
+    GOMAXPROCS=$procs "$WORKDIR/imgcc" -stream -in darpa_before.pgm -grey -band-rows 64 \
+        -top 0 -out "$WORKDIR/darpa.$procs.pgm" > /dev/null
+    GOMAXPROCS=$procs "$WORKDIR/imgcc" -stream -in "$WORKDIR/tall.pgm" -band-rows 4096 \
+        -top 0 -out "$WORKDIR/tall.$procs.pgm" > /dev/null
+done
+for img in darpa tall; do
+    cmp "$WORKDIR/$img.1.pgm" "$WORKDIR/$img.4.pgm" || {
+        echo "stream-smoke: $img label PGM differs between GOMAXPROCS 1 and 4" >&2
+        exit 1
+    }
+done
 
 echo "stream-smoke: PASS"
