@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-short bench-json bench-diff fuzz-short chaos-short serve-smoke stream-smoke crash-smoke experiments examples clean
+.PHONY: all build test race cover bench bench-short bench-ab fuzz-short chaos-short serve-smoke stream-smoke crash-smoke experiments examples clean
 
 all: build test
 
@@ -27,19 +27,13 @@ bench:
 bench-short:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Regenerate BENCH_runs.json (backend x workers x mode wall-clock matrix over
-# the full pattern catalog plus DARPA, binary and grey).
-bench-json:
-	$(GO) run ./cmd/benchjson
-
-# Measure a fresh (fast) matrix and diff it cell-by-cell against the
-# committed BENCH_runs.json; fails on per-cell slowdowns beyond the
-# tolerance, lost cells, or labelings that disagree with the sequential
-# reference. The committed baseline was measured on different hardware, so
-# the default tolerance is generous — see cmd/benchdiff.
-bench-diff:
-	$(GO) run ./cmd/benchjson -mintime 50ms -o /tmp/parimg_bench_new.json
-	$(GO) run ./cmd/benchdiff -new /tmp/parimg_bench_new.json -tolerance 2
+# Same-runner perf gate: the benchmark's four workloads (benchmark/) on the
+# last commit and on the working tree, three alternating pairs of short
+# passes, judged by the benchmark's -compare. Fails when an output misses
+# its oracle, a workload fails, or a metric REGRESSED past its bound (used
+# by the CI bench-ab job, against the pull request's base commit).
+bench-ab:
+	./scripts/bench_ab.sh HEAD
 
 # Quick fuzz pass: the run engine against the sequential BFS reference
 # (mixed binary/grey, then a grey-only leg so grey-level boundary cases get

@@ -7,7 +7,8 @@
 // Endpoints:
 //
 //	POST /label    label the posted PGM (query: mode, conn, census=1,
-//	               labels=1, out=json|pgm, deadline_ms)
+//	               labels=1, out=json|pgm, deadline_ms); census=1 and
+//	               labels=1 apply only with out=json
 //	GET  /metrics  parimg-metrics/v1 documents: aggregate + recent requests
 //	GET  /healthz  16x16 label round-trip through the full scheduler path
 //

@@ -1,5 +1,5 @@
 // Package cli holds the flag conventions shared by the repo's commands, so
-// imgcc, imghist and benchjson agree on flag names, defaults, help text and
+// imgcc, imghist and imgccd agree on flag names, defaults, help text and
 // semantics instead of re-implementing them with drift. Every shared flag
 // has one usage constant and one constructor here; a command that needs the
 // flag calls the constructor and gets identical help output to its
@@ -311,19 +311,4 @@ func WriteMetrics(path string, m *obs.Metrics) error {
 		return fmt.Errorf("cli: refusing to write invalid metrics: %w", err)
 	}
 	return obs.WriteFile(path, m)
-}
-
-// WriteMetricsList validates every document and writes the list to path as
-// one indented JSON array — the multi-configuration form benchjson emits. A
-// no-op when path is empty.
-func WriteMetricsList(path string, ms []*obs.Metrics) error {
-	if path == "" {
-		return nil
-	}
-	for i, m := range ms {
-		if err := m.Validate(); err != nil {
-			return fmt.Errorf("cli: refusing to write invalid metrics (entry %d): %w", i, err)
-		}
-	}
-	return obs.WriteFileList(path, ms)
 }

@@ -127,29 +127,3 @@ func TestWriteMetrics(t *testing.T) {
 		t.Error("invalid document was written to disk")
 	}
 }
-
-func TestWriteMetricsList(t *testing.T) {
-	if err := WriteMetricsList("", nil); err != nil {
-		t.Fatalf("WriteMetricsList(\"\") = %v, want nil", err)
-	}
-	r := obs.NewRecorder()
-	t0 := r.StartPhase()
-	r.EndPhase("a", "", t0)
-	m1 := r.Snapshot()
-	r.Reset()
-	t0 = r.StartPhase()
-	r.EndPhase("b", "", t0)
-	m2 := r.Snapshot()
-
-	path := filepath.Join(t.TempDir(), "list.json")
-	if err := WriteMetricsList(path, []*obs.Metrics{m1, m2}); err != nil {
-		t.Fatal(err)
-	}
-	back, err := obs.ReadFileList(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back[0].Phases[0].Name != "a" || back[1].Phases[0].Name != "b" {
-		t.Errorf("round trip mismatch: %d docs", len(back))
-	}
-}

@@ -48,9 +48,9 @@ func helpFlags(t *testing.T, name string) map[string]string {
 // again.
 func TestSharedFlagHelpIsIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds four commands; skipped in -short mode")
+		t.Skip("builds three commands; skipped in -short mode")
 	}
-	commands := []string{"imgcc", "imghist", "benchjson", "imgccd"}
+	commands := []string{"imgcc", "imghist", "imgccd"}
 	perCmd := make(map[string]map[string]string, len(commands))
 	for _, c := range commands {
 		perCmd[c] = helpFlags(t, c)
@@ -74,7 +74,7 @@ func TestSharedFlagHelpIsIdentical(t *testing.T) {
 	// The server registers its own flag family (-addr, -engines, ...) and
 	// deliberately not -workers, whose batch semantics it splits across
 	// engines; only the batch commands are held to the batch set.
-	for _, c := range []string{"imgcc", "imghist", "benchjson"} {
+	for _, c := range []string{"imgcc", "imghist"} {
 		for _, f := range []string{"workers", "metrics"} {
 			if _, ok := perCmd[c][f]; !ok {
 				t.Errorf("%s does not register the shared -%s flag", c, f)

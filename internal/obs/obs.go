@@ -27,7 +27,8 @@
 // calls them unconditionally and the alloc regression budgets of
 // internal/par hold with metrics off. Snapshot converts a Recorder into a
 // Metrics document, the stable JSON schema behind the -metrics flag of the
-// imgcc, imghist and benchjson commands and the cmd/phasereport tables.
+// imgcc and imghist commands, imgccd's /metrics endpoint and the
+// cmd/phasereport tables.
 package obs
 
 import (
@@ -156,14 +157,14 @@ type CommStat struct {
 }
 
 // Metrics is the observability document of one run: the JSON written by
-// the -metrics flag of imgcc, imghist and benchjson and consumed by
-// cmd/phasereport. Context fields (Command through K) are filled by the
-// caller; measurement fields come from Recorder.Snapshot and the run's
-// report.
+// the -metrics flag of imgcc and imghist, served by imgccd's /metrics and
+// consumed by cmd/phasereport. Context fields (Command through K) are
+// filled by the caller; measurement fields come from Recorder.Snapshot and
+// the run's report.
 type Metrics struct {
 	// Schema identifies the document format; always the Schema constant.
 	Schema string `json:"schema"`
-	// Command is the emitting command ("imgcc", "imghist", "benchjson").
+	// Command is the emitting command ("imgcc", "imghist", "imgccd").
 	Command string `json:"command,omitempty"`
 	// Backend is the execution backend ("sim", "par", "seq" or "stream").
 	Backend string `json:"backend,omitempty"`
@@ -316,24 +317,8 @@ func WriteFile(path string, m *Metrics) error {
 	return f.Close()
 }
 
-// WriteFileList writes a list of documents to the named file as one
-// indented JSON array (the multi-configuration form benchjson emits).
-func WriteFileList(path string, ms []*Metrics) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(ms); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ReadFileList reads and validates a JSON array of Metrics documents from
-// the named file (the multi-configuration form benchjson emits).
+// the named file (the form imgccd's /metrics endpoint serves).
 func ReadFileList(path string) ([]*Metrics, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

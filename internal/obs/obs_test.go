@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -190,6 +191,32 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if got.Backend != "par" || got.Counters["border_pairs"] != 12 ||
 		got.Comm[0].Name != "border_fetch" || got.Comm[0].Words != 96 {
 		t.Fatalf("round trip mismatch: %+v", got)
+	}
+
+	// The array form, as imgccd's /metrics serves it: every element is
+	// validated.
+	for _, c := range []struct {
+		list  []*Metrics
+		valid bool
+	}{
+		{[]*Metrics{m, got}, true},
+		{[]*Metrics{m, {Schema: "other"}}, false},
+	} {
+		data, err := json.Marshal(c.list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listPath := filepath.Join(t.TempDir(), "list.json")
+		if err := os.WriteFile(listPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFileList(listPath)
+		switch {
+		case c.valid && (err != nil || len(back) != 2 || back[1].Image != "cross"):
+			t.Fatalf("ReadFileList = %d docs, %v; want both documents back", len(back), err)
+		case !c.valid && err == nil:
+			t.Fatal("ReadFileList accepted an array with an invalid document")
+		}
 	}
 }
 

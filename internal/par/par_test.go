@@ -71,15 +71,18 @@ func cupImage(flip bool) *image.Image {
 }
 
 // TestLabelMatchesSequentialCatalog checks the engine against the
-// sequential reference on all nine Figure 1 patterns plus the ∪ and ∩ of
-// cupImage x {Conn4, Conn8} x {Binary, Grey} at several worker counts —
-// exact array compare.
+// sequential reference on all nine Figure 1 patterns at sides 64, 201 and
+// 512, plus the ∪ and ∩ of cupImage, x {Conn4, Conn8} x {Binary, Grey} at
+// several worker counts — exact array compare. Side 201 is a multiple of
+// neither 8 nor 64, so every row ends inside a plane word.
 func TestLabelMatchesSequentialCatalog(t *testing.T) {
 	names := []string{"cup", "cap"}
 	ims := []*image.Image{cupImage(false), cupImage(true)}
-	for _, id := range image.AllPatterns() {
-		names = append(names, id.String())
-		ims = append(ims, image.Generate(id, 64))
+	for _, n := range []int{64, 201, 512} {
+		for _, id := range image.AllPatterns() {
+			names = append(names, fmt.Sprintf("%v/n=%d", id, n))
+			ims = append(ims, image.Generate(id, n))
+		}
 	}
 	for i, im := range ims {
 		for _, conn := range []image.Connectivity{image.Conn4, image.Conn8} {

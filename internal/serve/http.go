@@ -42,7 +42,9 @@ type errorResponse struct {
 //
 //	POST /label    body: binary PGM (P5; any other magic is a 400).
 //	               Query: mode=binary|grey, conn=4|8, census=1,
-//	               labels=1, out=json|pgm, deadline_ms=N. Unknown
+//	               labels=1, out=json|pgm, deadline_ms=N. census=1 and
+//	               labels=1 apply only with out=json (the default); an
+//	               out=pgm response is the label PGM alone. Unknown
 //	               parameters are ignored.
 //	GET  /metrics  JSON array of parimg-metrics/v1 documents: the
 //	               aggregate first, then recent per-request documents.
@@ -126,7 +128,8 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errs.Bad("serve.label", "unknown output %q (want json or pgm)", out))
 		return
 	}
-	job.Census = q.Get("census") == "1"
+	// An out=pgm body has no place for a census, so none is computed.
+	job.Census = out == "json" && q.Get("census") == "1"
 	wantLabels := q.Get("labels") == "1"
 
 	ctx := r.Context()

@@ -138,6 +138,50 @@ func TestHTTPLabelPGM(t *testing.T) {
 	}
 }
 
+// TestHTTPLabelPGMSkipsCensus checks that census=1 applies only to JSON
+// bodies: an out=pgm request with census=1 computes no census (its metrics
+// document has no census phase) and returns the same bytes as one without.
+func TestHTTPLabelPGMSkipsCensus(t *testing.T) {
+	s, ts := startHTTP(t, Config{Engines: 1, EngineWorkers: 1})
+	defer ts.Close()
+	defer s.Close()
+
+	body := pgmBytes(t, image.RandomGrey(64, 8, 5))
+	// request posts body and returns the response bytes and the request's
+	// metrics document, the newest in the history ring.
+	request := func(query string) ([]byte, *obs.Metrics) {
+		t.Helper()
+		resp := post(t, ts.URL+"/label?mode=grey&"+query, body)
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v: %s", query, resp.StatusCode, err, b)
+		}
+		docs := s.MetricsDocs()
+		return b, docs[len(docs)-1]
+	}
+	hasCensus := func(m *obs.Metrics) bool {
+		for _, ph := range m.Phases {
+			if ph.Name == "census" {
+				return true
+			}
+		}
+		return false
+	}
+
+	if _, m := request("census=1"); !hasCensus(m) {
+		t.Fatal("census=1 with a JSON body recorded no census phase")
+	}
+	withCensus, m := request("census=1&out=pgm")
+	if hasCensus(m) {
+		t.Error("census=1&out=pgm computed a census the PGM body drops")
+	}
+	plain, _ := request("out=pgm")
+	if !bytes.Equal(withCensus, plain) {
+		t.Error("census=1 changed the out=pgm body")
+	}
+}
+
 // TestHTTP429Saturated saturates a one-runner, one-slot server and checks
 // the over-capacity request is rejected with 429 and a Retry-After hint.
 func TestHTTP429Saturated(t *testing.T) {

@@ -77,10 +77,11 @@ type Config struct {
 	// MaxBodyBytes bounds the request body the HTTP handler will read;
 	// <= 0 selects 256 MiB (a 16384² PGM with room to spare).
 	MaxBodyBytes int64
-	// History is the number of recent per-request metrics documents the
-	// /metrics endpoint returns alongside the aggregate; <= 0 selects 32.
-	History int
 }
+
+// historySize is the number of recent per-request metrics documents the
+// /metrics endpoint returns alongside the aggregate.
+const historySize = 32
 
 // normalized applies the documented defaults and validates the N×W policy.
 func (c Config) normalized() (Config, error) {
@@ -109,9 +110,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 256 << 20
-	}
-	if c.History <= 0 {
-		c.History = 32
 	}
 	return c, nil
 }
@@ -175,7 +173,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:  cfg,
 		pool: par.NewPool(cfg.EngineWorkers),
 		agg:  obs.NewAgg(),
-		hist: newHistory(cfg.History),
+		hist: newHistory(historySize),
 	}
 	s.sched = newSched(cfg.Engines, cfg.QueueDepth, s.run)
 	return s, nil

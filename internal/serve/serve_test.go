@@ -284,17 +284,18 @@ func TestMetricsCoverage(t *testing.T) {
 // the aggregate and the per-request tail — against the schema validator,
 // and spot-checks the aggregate counters.
 func TestMetricsDocsAllValid(t *testing.T) {
-	s := newTestServer(t, Config{Engines: 2, EngineWorkers: 1, History: 4})
+	s := newTestServer(t, Config{Engines: 2, EngineWorkers: 1})
 	defer s.Close()
 	im := image.Generate(image.DualSpiral, 32)
-	for i := 0; i < 6; i++ { // more than History: the ring must evict
+	const requests = historySize + 2 // more than the ring holds: it must evict
+	for i := 0; i < requests; i++ {
 		if _, err := s.Do(context.Background(), Job{Image: im, Census: true}); err != nil {
 			t.Fatalf("Do %d: %v", i, err)
 		}
 	}
 	docs := s.MetricsDocs()
-	if len(docs) != 1+4 {
-		t.Fatalf("got %d docs, want aggregate + 4 history", len(docs))
+	if len(docs) != 1+historySize {
+		t.Fatalf("got %d docs, want aggregate + %d history", len(docs), historySize)
 	}
 	for i, m := range docs {
 		if err := m.Validate(); err != nil {
@@ -305,8 +306,8 @@ func TestMetricsDocsAllValid(t *testing.T) {
 	if agg.Image != "aggregate" || agg.Command != "imgccd" {
 		t.Fatalf("aggregate doc mislabeled: %+v", agg)
 	}
-	if agg.Counters["documents"] != 6 {
-		t.Fatalf("aggregate documents = %d, want 6", agg.Counters["documents"])
+	if agg.Counters["documents"] != requests {
+		t.Fatalf("aggregate documents = %d, want %d", agg.Counters["documents"], requests)
 	}
 	if agg.Counters["runners"] != 2 || agg.Counters["engine_workers"] != 1 {
 		t.Fatalf("aggregate sizing counters wrong: %v", agg.Counters)
