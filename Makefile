@@ -67,8 +67,10 @@ serve-smoke:
 
 # End-to-end smoke test of the out-of-core streaming pipeline: generate a
 # 64x70000 striped PGM bandwise, label it with imgcc -stream, check the
-# known component count, validate the metrics document, and re-stream the
-# 16-bit label PGM in grey mode (used by the CI stream-smoke job).
+# known component count, validate the metrics document, re-stream the
+# 16-bit label PGM in grey mode, and byte-compare the label PGMs and the
+# census-only JSONs of it and the DARPA scene at GOMAXPROCS 1 and 4 (used
+# by the CI stream-smoke job).
 stream-smoke:
 	./scripts/stream_smoke.sh
 

@@ -49,22 +49,26 @@ func (b *Bitplane) ResetRect(rows, cols int) {
 // is the plane's own width into the bitplane, overwriting every word of
 // those rows (no prior clear needed). Disjoint row ranges may be packed
 // from different goroutines concurrently.
+//
+// The packing has no branch per pixel: (v|-v)>>31 is 1 exactly when the
+// uint32 v is nonzero, whatever its low byte, and four such bits are
+// gathered into a nibble per step.
 func (b *Bitplane) SetRowsPix(pix []uint32, r0, r1 int) {
 	n := b.N
 	for i := r0; i < r1; i++ {
 		row := pix[i*n : (i+1)*n]
 		out := b.Words[i*b.WPR : (i+1)*b.WPR]
 		for wi := range out {
-			j0 := wi * 64
-			j1 := j0 + 64
-			if j1 > n {
-				j1 = n
-			}
+			px := row[wi*64 : min(wi*64+64, n)]
 			var w uint64
-			for j := j0; j < j1; j++ {
-				if row[j] != 0 {
-					w |= 1 << uint(j-j0)
-				}
+			j := 0
+			for ; j+4 <= len(px); j += 4 {
+				q := px[j : j+4 : j+4]
+				nib := (q[0]|-q[0])>>31 | (q[1]|-q[1])>>31<<1 | (q[2]|-q[2])>>31<<2 | (q[3]|-q[3])>>31<<3
+				w |= uint64(nib) << uint(j)
+			}
+			for ; j < len(px); j++ {
+				w |= uint64((px[j]|-px[j])>>31) << uint(j)
 			}
 			out[wi] = w
 		}

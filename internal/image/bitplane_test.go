@@ -2,6 +2,7 @@ package image
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -78,6 +79,61 @@ func TestBitplaneStripedSetRows(t *testing.T) {
 	for i, w := range b.Words {
 		if w != want.Words[i] {
 			t.Fatalf("word %d: %#x, want %#x", i, w, want.Words[i])
+		}
+	}
+}
+
+// TestPackFullWidthLevels packs rows whose levels mix 0, 1 and 2 with
+// foreground levels whose low byte is zero (256, 65536, 1<<31) and the
+// all-ones level, over disjoint row ranges, at widths around both planes'
+// word boundaries. Every bit must be v != 0, so a packer that looks at
+// the low byte alone fails; every packed byte must be v's low byte, each
+// range's wide report whether any of its levels exceeds 255, and no bit
+// past a row's end may be set.
+func TestPackFullWidthLevels(t *testing.T) {
+	levels := []uint32{0, 1, 2, 256, 65536, 1 << 31, 0xFFFFFFFF}
+	const rows = 12
+	ranges := [][2]int{{0, 3}, {3, 4}, {4, 9}, {9, 12}}
+	for _, n := range []int{1, 63, 64, 65, 201} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		pix := make([]uint32, rows*n)
+		fg := 0
+		for i := range pix {
+			pix[i] = levels[rng.Intn(len(levels))]
+			if i/n == 3 {
+				pix[i] %= 3 // one range of narrow levels only
+			}
+			if pix[i] != 0 {
+				fg++
+			}
+		}
+		var bp Bitplane
+		var yp Byteplane
+		bp.ResetRect(rows, n)
+		yp.ResetRect(rows, n)
+		for _, r := range ranges {
+			bp.SetRowsPix(pix, r[0], r[1])
+			wide, want := yp.SetRowsPix(pix, r[0], r[1]), false
+			for _, v := range pix[r[0]*n : r[1]*n] {
+				want = want || v > 255
+			}
+			if wide != want {
+				t.Errorf("width %d rows [%d,%d): wide = %v, want %v", n, r[0], r[1], wide, want)
+			}
+		}
+		for i := 0; i < rows; i++ {
+			for j := 0; j < n; j++ {
+				v := pix[i*n+j]
+				if got := bp.Get(i, j); got != (v != 0) {
+					t.Fatalf("width %d: bit (%d,%d) of level %#x = %v", n, i, j, v, got)
+				}
+				if got := yp.Get(i, j); got != byte(v) {
+					t.Fatalf("width %d: byte (%d,%d) of level %#x = %#x", n, i, j, v, got)
+				}
+			}
+		}
+		if got := bp.OnesCount(); got != fg {
+			t.Errorf("width %d: %d bits set, want %d", n, got, fg)
 		}
 	}
 }

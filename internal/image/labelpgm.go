@@ -14,13 +14,16 @@ const labelPGMOp = "image.LabelPGMWriter"
 // whose samples are dense component ids 1..C in row-major first-seen
 // order of the components' roots (background 0), with maxval max(1, C),
 // one byte per sample up to 255 components and two big-endian bytes
-// beyond. Both PGM readers ingest it back. Not safe for concurrent use.
+// beyond. Both PGM readers ingest it back. Samples are rendered span by
+// span straight into a 64 KiB buffer. Not safe for concurrent use.
 type LabelPGMWriter struct {
 	bw         *bufio.Writer
 	pixLeft    int64 // pixels the header declares that are not written yet
 	components int64
 	sb         int               // bytes per sample
 	ids        map[uint64]uint32 // root -> dense id
+	root       uint64            // the last nonzero root looked up
+	id         uint32            // and its id
 }
 
 // NewLabelPGMWriter starts a width x height label PGM of the given
@@ -42,44 +45,64 @@ func NewLabelPGMWriter(w io.Writer, width, height int, components int64) (*Label
 	return lw, nil
 }
 
-// WriteRows writes the next rows of the labeling, 0 for background. root
-// maps a nonzero label to its component's root, the key its id is issued
-// under; nil means each label is its own root. Each run of equal labels
-// costs one root call and one map lookup. Runs end with the call, so each
-// call may bring its own label space, such as a band's local labels.
+// WriteSpan writes the next n samples, all of the component whose root is
+// root; root 0 is background. Spans run on across rows and calls, in
+// row-major order, and a root is the component's identity across them, so
+// a caller renders a labeling run by run without painting it. Each new
+// root costs one map lookup; a span of the previous root, or of
+// background, costs none. A span past the pixels the header declares is
+// refused before any of it is written.
+func (lw *LabelPGMWriter) WriteSpan(n int, root uint64) error {
+	if n < 0 || int64(n) > lw.pixLeft {
+		return errs.Bad(labelPGMOp, "a span of %d samples overruns the %d pixels left", n, lw.pixLeft)
+	}
+	lw.pixLeft -= int64(n)
+	return lw.span(n, root)
+}
+
+// WriteRows writes the next rows of a painted labeling, 0 for background.
+// root maps a nonzero label to its component's root; nil means each label
+// is its own root. Each run of equal labels is one span, and costs one
+// root call. Runs end with the call, so each call may bring its own label
+// space, such as a band's local labels. Rows past the pixels the header
+// declares are refused before any of them is written.
 func (lw *LabelPGMWriter) WriteRows(lab []uint32, root func(uint32) uint64) error {
 	if int64(len(lab)) > lw.pixLeft {
 		return errs.Bad(labelPGMOp, "%d labels overrun the %d pixels left", len(lab), lw.pixLeft)
 	}
 	lw.pixLeft -= int64(len(lab))
-	sb := lw.sb
-	var last, id uint32 // the current run's label and id; background to start
-	for len(lab) > 0 {
-		if lw.bw.Available() < sb {
+	for i := 0; i < len(lab); {
+		l, k := lab[i], i+1
+		for k < len(lab) && lab[k] == l {
+			k++
+		}
+		r := uint64(l)
+		if l != 0 && root != nil {
+			r = root(l)
+		}
+		if err := lw.span(k-i, r); err != nil {
+			return err
+		}
+		i = k
+	}
+	return nil
+}
+
+// span renders n samples of root's id straight into the buffer's free
+// space, flushing whenever it cannot take another sample.
+func (lw *LabelPGMWriter) span(n int, root uint64) error {
+	id := lw.idOf(root)
+	for n > 0 {
+		if lw.bw.Available() < lw.sb {
 			if err := lw.bw.Flush(); err != nil {
 				return errs.Bad(labelPGMOp, "writing label PGM: %v", err)
 			}
 		}
-		// Render straight into the buffer's free space, a chunk at a time.
-		n := min(len(lab), lw.bw.Available()/sb)
-		out := lw.bw.AvailableBuffer()[:n*sb]
-		for i := 0; i < n; {
-			// Scan to the run's end, then fill its samples.
-			run := lab[i:n]
-			l, k := run[0], 1
-			for k < len(run) && run[k] == l {
-				k++
-			}
-			if l != last {
-				if last, id = l, 0; l != 0 {
-					id = lw.id(l, root)
-				}
-			}
-			fillRun(out[i*sb:(i+k)*sb], sb, id)
-			i += k
-		}
+		k := min(n, lw.bw.Available()/lw.sb)
+		out := lw.bw.AvailableBuffer()[:k*lw.sb]
+		fillRun(out, lw.sb, id)
 		_, _ = lw.bw.Write(out) // fits the free space, so it cannot fail
-		lab = lab[n:]
+		n -= k
 	}
 	return nil
 }
@@ -103,18 +126,21 @@ func fillRun(b []byte, sb int, id uint32) {
 	}
 }
 
-// id returns the dense id of nonzero label l's component, issuing the next
-// one when its root is new.
-func (lw *LabelPGMWriter) id(l uint32, root func(uint32) uint64) uint32 {
-	r := uint64(l)
-	if root != nil {
-		r = root(l)
+// idOf returns the dense id of root's component, 0 for background,
+// issuing the next id when the root is new.
+func (lw *LabelPGMWriter) idOf(root uint64) uint32 {
+	switch root {
+	case 0:
+		return 0
+	case lw.root:
+		return lw.id
 	}
-	id, ok := lw.ids[r]
+	id, ok := lw.ids[root]
 	if !ok {
 		id = uint32(len(lw.ids)) + 1
-		lw.ids[r] = id
+		lw.ids[root] = id
 	}
+	lw.root, lw.id = root, id
 	return id
 }
 

@@ -65,8 +65,11 @@ func writeWhole(t *testing.T, lab []uint32, rows, cols, comps int) []byte {
 // back to its global label, offset past the 32-bit range. Equal local ids
 // in adjacent bands name different components, and one component carries
 // different local ids in different bands, so the ids must be keyed by
-// root and no run may continue across calls.
-func writeBands(t *testing.T, lab []uint32, rows, cols, comps, bandRows int) []byte {
+// root and no run may continue across calls. Each band goes through
+// WriteRows, or, with spans set, through the span entry: one WriteSpan
+// per maximal run of one label, running on across row ends the way the
+// spans of a streamed band's runs do.
+func writeBands(t *testing.T, lab []uint32, rows, cols, comps, bandRows int, spans bool) []byte {
 	t.Helper()
 	var out bytes.Buffer
 	lw, err := image.NewLabelPGMWriter(&out, cols, rows, int64(comps))
@@ -91,14 +94,41 @@ func writeBands(t *testing.T, lab []uint32, rows, cols, comps, bandRows int) []b
 			}
 			local[i] = id
 		}
-		if err := lw.WriteRows(local[:len(band)], func(l uint32) uint64 { return lifted[l-1] }); err != nil {
-			t.Fatalf("WriteRows at row %d: %v", r0, err)
+		ids := local[:len(band)]
+		if !spans {
+			err = lw.WriteRows(ids, func(l uint32) uint64 { return lifted[l-1] })
+		}
+		for i := 0; spans && err == nil && i < len(ids); {
+			l, k := ids[i], i+1
+			for k < len(ids) && ids[k] == l {
+				k++
+			}
+			var root uint64
+			if l != 0 {
+				root = lifted[l-1]
+			}
+			err = lw.WriteSpan(k-i, root)
+			i = k
+		}
+		if err != nil {
+			t.Fatalf("band at row %d: %v", r0, err)
 		}
 	}
 	if err := lw.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	return out.Bytes()
+}
+
+// block returns a rows x cols labeling of k dots in its first rows, then
+// background rows, then one component filling every row from row top on:
+// one span of several 64 KiB buffers.
+func block(rows, cols, k, top int) []uint32 {
+	lab := dots(rows, cols, k)
+	for p := top * cols; p < len(lab); p++ {
+		lab[p] = uint32(top*cols) + 1
+	}
+	return lab
 }
 
 // dots returns a rows x cols labeling of k isolated one-pixel components,
@@ -115,10 +145,13 @@ func dots(rows, cols, k int) []uint32 {
 
 // TestLabelPGMWriterMatchesOracle checks the writer byte for byte against
 // the per-pixel oracle on catalog, DARPA, random and synthetic labelings,
-// written whole and in bands of 1, 7 and all rows. The synthetic ones pin
-// the sample width: 0 components (maxval 1), 1 and 255 (one-byte
+// written whole, and in bands of 1, 7 and all rows through WriteRows and
+// through the span entry. The synthetic ones pin the sample width: 0
+// components (maxval 1, every row background), 1 and 255 (one-byte
 // samples), 256 and 1000 (two-byte samples). The larger labelings span
-// several output chunks, so runs cross chunk boundaries.
+// several output chunks, so runs cross chunk boundaries; the block ones
+// end in one component whose span alone fills several buffers, after
+// all-background rows, at each sample width.
 func TestLabelPGMWriterMatchesOracle(t *testing.T) {
 	type labeling struct {
 		name       string
@@ -146,6 +179,9 @@ func TestLabelPGMWriterMatchesOracle(t *testing.T) {
 	for _, k := range []int{0, 1, 255, 256, 1000} {
 		cases = append(cases, labeling{fmt.Sprintf("dots-%d", k), dots(64, 64, k), 64, 64})
 	}
+	for _, k := range []int{10, 400} {
+		cases = append(cases, labeling{fmt.Sprintf("block-%d", k), block(300, 401, k, 9), 300, 401})
+	}
 
 	for _, c := range cases {
 		want, comps := oracleLabelPGM(c.lab, c.rows, c.cols)
@@ -156,8 +192,11 @@ func TestLabelPGMWriterMatchesOracle(t *testing.T) {
 			t.Errorf("%s (%d components) written whole differs from the oracle", c.name, comps)
 		}
 		for _, bandRows := range []int{1, 7, c.rows} {
-			if got := writeBands(t, c.lab, c.rows, c.cols, comps, bandRows); !bytes.Equal(got, want) {
-				t.Errorf("%s (%d components) in %d-row bands differs from the oracle", c.name, comps, bandRows)
+			for _, spans := range []bool{false, true} {
+				if got := writeBands(t, c.lab, c.rows, c.cols, comps, bandRows, spans); !bytes.Equal(got, want) {
+					t.Errorf("%s (%d components) in %d-row bands (spans %v) differs from the oracle",
+						c.name, comps, bandRows, spans)
+				}
 			}
 		}
 	}
@@ -187,8 +226,9 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full")
 // TestLabelPGMWriterRefusals covers every way the writer says no: a count
 // past the 16-bit sample ceiling (refused before any byte is written), a
 // labeling with more or fewer components than its header declares, more
-// or fewer pixels than the header declares, and a failing underlying
-// writer.
+// or fewer pixels than the header declares, a span that overruns the
+// image or has a negative length (refused before any of it is written,
+// so the image can still be completed), and a failing underlying writer.
 func TestLabelPGMWriterRefusals(t *testing.T) {
 	for _, comps := range []int64{image.MaxPGMVal + 1, 80000, -1} {
 		var out bytes.Buffer
@@ -241,7 +281,34 @@ func TestLabelPGMWriterRefusals(t *testing.T) {
 		})
 	}
 
-	lw, err := image.NewLabelPGMWriter(failWriter{}, 4, 4, 3)
+	var out bytes.Buffer
+	lw, err := image.NewLabelPGMWriter(&out, 4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.WriteSpan(10, 7); err != nil {
+		t.Fatalf("WriteSpan inside the image: %v", err)
+	}
+	for _, n := range []int{7, -1} {
+		if err := lw.WriteSpan(n, 7); !errors.Is(err, errs.ErrBadInput) {
+			t.Fatalf("a %d-sample span with 6 pixels left: error %v, want ErrBadInput", n, err)
+		}
+	}
+	if err := lw.WriteRows(make([]uint32, 7), nil); !errors.Is(err, errs.ErrBadInput) {
+		t.Fatalf("7 labels with 6 pixels left: error %v, want ErrBadInput", err)
+	}
+	if err := lw.WriteSpan(6, 0); err != nil {
+		t.Fatalf("WriteSpan completing the image: %v", err)
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatalf("Close after refused spans: %v", err)
+	}
+	want, _ := oracleLabelPGM([]uint32{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 0, 0, 0, 0, 0, 0}, 4, 4)
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("after refused spans the PGM is %q, want %q", out.Bytes(), want)
+	}
+
+	lw, err = image.NewLabelPGMWriter(failWriter{}, 4, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

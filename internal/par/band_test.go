@@ -25,6 +25,32 @@ func bandOracle(pix []uint32, rows, cols int, conn image.Connectivity, mode seq.
 	return lab, comps
 }
 
+// walkStrips renders the run tables of e's last band into a rows x cols
+// labeling from each run's final label, the way the band pipeline's
+// consumers read them, and counts the seed runs: those whose final label
+// is their own first pixel.
+func walkStrips(e *Engine, rows, cols int) ([]uint32, int) {
+	lab := make([]uint32, rows*cols)
+	at, seeds := 0, 0
+	strips := e.Strips()
+	for w := range strips {
+		for i := 0; i < strips[w].Rows(); i, at = i+1, at+cols {
+			runs, labels, seed := strips[w].Row(i)
+			for k, l := range labels {
+				s, end := runs[2*k], runs[2*k+1]
+				seq.Fill32(lab[at+int(s):at+int(end)], l)
+				if l == seed+uint32(s) {
+					seeds++
+				}
+			}
+		}
+	}
+	if at != rows*cols {
+		return nil, -1
+	}
+	return lab, seeds
+}
+
 // randomBand returns rows x cols pixels with grey levels drawn from
 // levels (0 is background), about density of them foreground.
 func randomBand(rows, cols int, density float64, levels []uint32, seed int64) []uint32 {
@@ -41,13 +67,17 @@ func randomBand(rows, cols int, density float64, levels []uint32, seed int64) []
 // TestLabelBandMatchesOracle sweeps LabelBand over rectangular bands —
 // single rows and columns, fewer rows than workers, widths on both sides of
 // the 64- and 8-pixel word boundaries, grey levels above a byte (the
-// full-width fallback, with levels that alias modulo 256) and the ∪/∩ whose
+// full-width fallback, with levels that alias modulo 256, and foreground
+// levels whose low byte is zero) and the ∪/∩ whose
 // arms cross strips — at several worker counts, both connectivities and
 // both modes. Each engine is reused across bands into a dirty label
 // buffer; labels and the component count must equal the band-local BFS.
+// Labeled again with no label buffer, the band's run tables must walk to
+// the same labels, with one seed run per component.
 func TestLabelBandMatchesOracle(t *testing.T) {
 	narrow := []uint32{1, 2}
 	wide := []uint32{7, 7 + 256, 300}
+	high := []uint32{1, 256, 65536, 1 << 31, 0xFFFFFFFF}
 	bands := []struct {
 		name       string
 		rows, cols int
@@ -61,6 +91,7 @@ func TestLabelBandMatchesOracle(t *testing.T) {
 		{"41x65", 41, 65, randomBand(41, 65, 0.6, narrow, 6)},
 		{"29x67", 29, 8*8 + 3, randomBand(29, 8*8+3, 0.6, narrow, 7)},
 		{"23x35-wide-grey", 23, 35, randomBand(23, 35, 0.7, wide, 8)},
+		{"19x70-high-bits", 19, 70, randomBand(19, 70, 0.6, high, 9)},
 		{"cup", 64, 64, cupImage(false).Pix},
 		{"cap", 64, 64, cupImage(true).Pix},
 	}
@@ -87,6 +118,13 @@ func TestLabelBandMatchesOracle(t *testing.T) {
 							t.Fatalf("%s: pixel (%d,%d) = %d, want %d",
 								name, i/b.cols, i%b.cols, lab[i], want[i])
 						}
+					}
+					if _, err := e.LabelBand(nil, b.pix, b.rows, b.cols, conn, mode, nil); err != nil {
+						t.Fatalf("%s: unpainted: %v", name, err)
+					}
+					if walked, seeds := walkStrips(e, b.rows, b.cols); seeds != wantComps || !slices.Equal(walked, want) {
+						t.Fatalf("%s: run tables walk to %d seeds and labels %v, want %d and %v",
+							name, seeds, walked, wantComps, want)
 					}
 				}
 			}
@@ -140,7 +178,8 @@ func TestLabelBandTypedErrors(t *testing.T) {
 // buffer. At four workers a 4x4 band is four one-row strips, where a
 // strip's first row is also its last; the stream sweep's one- and two-row
 // bands never split into strips. Labels and the component count must
-// equal the band-local BFS.
+// equal the band-local BFS, and so must the run tables the same call
+// leaves: walked, they give the labels, and their seed runs the count.
 func TestLabelBandExhaustiveSmallScope(t *testing.T) {
 	engines := make([]*Engine, 4)
 	for w := range engines {
@@ -164,7 +203,9 @@ func TestLabelBandExhaustiveSmallScope(t *testing.T) {
 						lab[i] = 0xdeadbeef
 					}
 					comps, err := e.LabelBand(nil, pix, rows, cols, conn, mode, lab)
-					if err == nil && comps == wantComps && slices.Equal(lab, want) {
+					walked, seeds := walkStrips(e, rows, cols)
+					if err == nil && comps == wantComps && slices.Equal(lab, want) &&
+						seeds == wantComps && slices.Equal(walked, want) {
 						continue
 					}
 					name := fmt.Sprintf("%dx%d image %v conn%d workers=%d",
@@ -172,8 +213,8 @@ func TestLabelBandExhaustiveSmallScope(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					t.Fatalf("%s: %d components, labels %v; want %d, %v",
-						name, comps, lab, wantComps, want)
+					t.Fatalf("%s: %d components, labels %v, run tables %d seeds, labels %v; want %d, %v",
+						name, comps, lab, seeds, walked, wantComps, want)
 				}
 			}
 		}

@@ -75,17 +75,19 @@ func (e *Engine) LabelIntoContext(ctx context.Context, im *image.Image,
 	return e.labelInto(ctx, "par.LabelInto", im.Pix, im.N, im.N, conn, mode, out.Lab)
 }
 
-// LabelBand labels the rows x cols band in pix (row-major) into lab and
-// returns the number of components within the band. Labels are band-local
-// seeds: each component carries the band row-major index of its first
-// pixel plus one, exactly what seq.BandLabeler.Label paints, and lab need
-// not be pre-zeroed. Band labels must fit uint32, so rows*cols may not
-// exceed math.MaxUint32. A non-positive dimension or a pixel or label
-// buffer that does not hold rows*cols elements returns an error wrapping
-// errs.ErrGeometry, a band past the uint32 seed space one wrapping
-// errs.ErrLabelOverflow, and an unknown connectivity or mode one wrapping
-// errs.ErrBadInput — all before any labeling work. Cancellation and run
-// errors follow LabelContext; on a run error lab is undefined.
+// LabelBand labels the rows x cols band in pix (row-major) and returns the
+// number of components within the band. Labels are band-local seeds: each
+// component carries the band row-major index of its first pixel plus one,
+// exactly what seq.BandLabeler.Label paints. The labeling is the run
+// tables Strips returns; a non-nil lab also gets it painted (lab need not
+// be pre-zeroed), and a nil lab paints nothing. Band labels must fit
+// uint32, so rows*cols may not exceed math.MaxUint32. A non-positive
+// dimension, or a pixel buffer or non-nil label buffer that does not hold
+// rows*cols elements, returns an error wrapping errs.ErrGeometry, a band
+// past the uint32 seed space one wrapping errs.ErrLabelOverflow, and an
+// unknown connectivity or mode one wrapping errs.ErrBadInput — all before
+// any labeling work. Cancellation and run errors follow LabelContext; on
+// a run error lab and the run tables are undefined.
 func (e *Engine) LabelBand(ctx context.Context, pix []uint32, rows, cols int,
 	conn image.Connectivity, mode seq.Mode, lab []uint32) (int, error) {
 	const op = "par.LabelBand"
@@ -96,7 +98,7 @@ func (e *Engine) LabelBand(ctx context.Context, pix []uint32, rows, cols int,
 		return 0, &errs.InputError{Op: op, Kind: errs.ErrLabelOverflow,
 			Detail: fmt.Sprintf("band of %d x %d pixels exceeds the uint32 seed space", rows, cols)}
 	}
-	if len(pix) != rows*cols || len(lab) != rows*cols {
+	if len(pix) != rows*cols || (lab != nil && len(lab) != rows*cols) {
 		return 0, errs.Geometry(op, 0, 0, "band of %d x %d pixels given %d pixels and %d labels",
 			rows, cols, len(pix), len(lab))
 	}
@@ -105,6 +107,12 @@ func (e *Engine) LabelBand(ctx context.Context, pix []uint32, rows, cols int,
 	}
 	return e.labelInto(ctx, op, pix, rows, cols, conn, mode, lab)
 }
+
+// Strips returns the run tables of the last LabelBand call, one labeler
+// per strip, top to bottom: strip w's runs carry their final band labels
+// (seq.BandLabeler.Row), so walking the strips in order walks the band's
+// runs in row-major order. Valid until the next call on the engine.
+func (e *Engine) Strips() []seq.BandLabeler { return e.bands[:e.strips] }
 
 // labelInto owns the call's cancellation lifecycle around the strip
 // engine: begin/end bracket the phases, and a run error (worker panic,
@@ -135,11 +143,12 @@ func (e *Engine) labelInto(ctx context.Context, op string, pix []uint32, rows, c
 // two facing pixel rows with AppendBoundaryEdges and unites them into the
 // forest with ResolveBoundary — the same seam the streaming pipeline runs
 // between bands. Each strip's first and last rows must already be painted
-// into lab with their strip-local labels (seq.BandLabeler.PaintEdges).
-// Only labels that reach a seam enter the forest, and the whole seam is a
-// small fraction of a call, so it gains nothing from parallelism. Leaves
-// the link, pair and edge tallies in e.links, e.pairs and e.edges.
-func (e *Engine) borderMerge(pix, lab []uint32, rows, cols int,
+// into the edge rows with their strip-local labels
+// (seq.BandLabeler.PaintEdges). Only labels that reach a seam enter the
+// forest, and the whole seam is a small fraction of a call, so it gains
+// nothing from parallelism. Leaves the link, pair and edge tallies in
+// e.links, e.pairs and e.edges.
+func (e *Engine) borderMerge(pix []uint32, rows, cols int,
 	conn image.Connectivity, mode seq.Mode, W int) {
 	stop := e.stopFlag()
 	e.forest.Reset()
@@ -153,7 +162,7 @@ func (e *Engine) borderMerge(pix, lab []uint32, rows, cols int,
 		top, bot := (r-1)*cols, r*cols
 		var pairs int64
 		e.seam, pairs = AppendBoundaryEdges(e.seam[:0], pix[top:bot], pix[bot:bot+cols],
-			lab[top:bot], lab[bot:bot+cols], conn, mode, stop)
+			e.edgeRow(2*w-1, cols), e.edgeRow(2*w, cols), conn, mode, stop)
 		e.pairs += pairs
 		e.edges += int64(len(e.seam) / 2)
 		e.links += ResolveBoundary(e.seam, &e.forest, stop)

@@ -18,15 +18,18 @@
 //     strip's rows, scans them into maximal runs and unites the runs in a
 //     strip-local union-find, using band-unique seed labels (band
 //     row-major index of a run's first pixel + 1), and paints only the
-//     strip's first and last rows. Each strip boundary is then reduced to
-//     the union edges of its two facing pixel rows, which are united in
-//     order into one sparse forest holding only the labels that reach a
-//     seam. A final parallel pass maps the fragments each strip's first
-//     and last rows reach through the forest and paints every run once,
-//     with its final label; a one-strip band skips the seam and paints
-//     straight away. Unite-by-minimum makes every root the component's
-//     minimum seed label, so the result is pixel-for-pixel identical to
-//     seq.LabelBFS, not merely equivalent up to renaming.
+//     strip's first and last rows, into the engine's own edge rows. Each
+//     strip boundary is then reduced to the union edges of its two facing
+//     pixel rows, which are united in order into one sparse forest holding
+//     only the labels that reach a seam. A final parallel pass maps the
+//     fragments each strip's first and last rows reach through the forest,
+//     which gives every run its final label; a one-strip band skips the
+//     seam. The run tables are then the band's labeling: the streaming
+//     pipeline folds and renders them as they are, and only a caller that
+//     asks for pixels (the resident Label entries) gets every run painted
+//     once, with its final label. Unite-by-minimum makes every root the
+//     component's minimum seed label, so the result is pixel-for-pixel
+//     identical to seq.LabelBFS, not merely equivalent up to renaming.
 //
 //   - Histogramming: per-worker tallies of each strip into sharded k-bucket
 //     arrays, merged pairwise in a tree of log(workers) parallel rounds,
@@ -61,6 +64,8 @@ type Engine struct {
 	workers int
 	obs     *obs.Recorder     // metrics recorder; nil disables all accounting
 	bands   []seq.BandLabeler // per-worker strip labelers (planes and run tables)
+	strips  int               // strips of the last band: bands[:strips] hold its runs
+	edge    []uint32          // each strip's first and last label rows, for the seams
 	forest  Forest[uint32]    // seam forest: labels that reach a seam -> roots
 	seam    []uint32          // one boundary's union edges (reused)
 	links   int               // cross-border unions of the current call
@@ -370,7 +375,7 @@ func (e *Engine) Close() error {
 	// never run again, so the band labelers, seam forest and per-worker
 	// state are dead weight a pooled deployment should not keep pinned.
 	e.forest = Forest[uint32]{}
-	e.seam = nil
+	e.seam, e.edge, e.strips = nil, nil, 0
 	for i := range e.bands {
 		e.bands[i] = seq.BandLabeler{}
 		e.shards[i] = nil

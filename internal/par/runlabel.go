@@ -11,13 +11,15 @@ import (
 // scanned word-at-a-time into maximal runs (foreground runs over the bit
 // plane in Binary mode, equal-grey-level runs over the byte plane in Grey
 // mode) and a strip-local union-find over runs with unite-by-minimum — and
-// paints only the strip's first and last rows (Phase 1); the seam between
-// each pair of adjacent strips, extracted from the two facing pixel rows
-// and united into one sparse forest that holds only the labels reaching a
-// seam (Phase 2); and one paint per strip, which looks up the forest once
-// per run of the strip's first and last rows and then writes every run
-// once with its final label (Phase 3, still named "relabel"). A one-strip
-// band has no seam, so its labeler paints inside Phase 1.
+// paints the strip's first and last rows into the engine's edge rows
+// (Phase 1); the seam between each pair of adjacent strips, extracted from
+// the two facing pixel rows and their edge rows and united into one sparse
+// forest that holds only the labels reaching a seam (Phase 2); and one
+// resolve per strip, which looks up the forest once per run of the strip's
+// first and last rows and gives every run its final label (Phase 3, still
+// named "relabel"). The run tables are then the band's labeling; a non-nil
+// lab also gets every run painted once, in Phase 3. A one-strip band has
+// no seam, so its labeler resolves (and paints) inside Phase 1.
 //
 // Exactness: a run's seed label is the band row-major index of its first
 // pixel plus one, and the minimum-index pixel of any component fragment
@@ -29,27 +31,36 @@ import (
 func (e *Engine) labelBand(pix []uint32, rows, cols int, conn image.Connectivity,
 	mode seq.Mode, lab []uint32) int {
 	W := e.stripCount(rows)
+	e.strips = W
 	if W == 1 {
 		// Single strip: no borders to merge, and no parallelDo closure
 		// to allocate — the whole call is allocation-free at steady state
 		// (the phase marks are nil-safe no-ops with metrics disabled).
 		t0 := e.obs.StartPhase()
-		comps := e.bands[0].Label(pix, rows, cols, conn, mode, lab)
+		b := &e.bands[0]
+		comps := b.LabelRows(pix, 0, rows, cols, conn, mode)
+		b.Resolve(nil)
+		if lab != nil {
+			b.Paint(lab)
+		}
 		e.obs.EndPhase("strip_label", "", t0)
 		e.obs.Add(obs.CtrStripComponents, int64(comps))
-		e.obs.Add(runCounter(mode), int64(len(e.bands[0].Runs())/2))
+		e.obs.Add(runCounter(mode), int64(len(b.Runs())/2))
 		return comps
 	}
 
 	// Phase 1 — each worker packs and run-labels its own strip with
-	// band-unique seed labels, and paints only the strip's first and last
-	// rows, the ones the seams read.
+	// band-unique seed labels, and paints the strip's first and last rows
+	// into its two edge rows, the ones the seams read.
+	if need := 2 * W * cols; cap(e.edge) < need {
+		e.edge = make([]uint32, need)
+	}
 	e.phase("strip_label", func() {
 		e.parallelDo(W, func(w int) {
 			e.checkFault("strip_label", w, 1)
 			r0, r1 := stripBounds(w, W, rows)
 			e.comps[w] = e.bands[w].LabelRows(pix[r0*cols:r1*cols], r0, r1-r0, cols, conn, mode)
-			e.bands[w].PaintEdges(lab[r0*cols : r1*cols])
+			e.bands[w].PaintEdges(e.edgeRow(2*w, cols), e.edgeRow(2*w+1, cols))
 		})
 	})
 	if e.interrupted() {
@@ -59,20 +70,24 @@ func (e *Engine) labelBand(pix []uint32, rows, cols int, conn image.Connectivity
 	// Phase 2 — the seams, walked in order on one goroutine under the
 	// worker guard so an injected panic still comes back typed.
 	e.phase("border_merge", func() {
-		e.guard(0, func(int) { e.borderMerge(pix, lab, rows, cols, conn, mode, W) })
+		e.guard(0, func(int) { e.borderMerge(pix, rows, cols, conn, mode, W) })
 	})
 	if e.interrupted() {
 		return 0
 	}
 
 	// Phase 3 — each worker maps the fragments its boundary rows reach
-	// through the forest and paints every run of its strip once, with its
-	// final label; the forest is only read from here on.
+	// through the forest, which gives every run of its strip its final
+	// label, and paints the strip when the caller wants pixels; the forest
+	// is only read from here on.
 	e.phase("relabel", func() {
 		e.parallelDo(W, func(w int) {
 			e.checkFault("relabel", w, 1)
-			r0, r1 := stripBounds(w, W, rows)
-			e.finds[w] = e.bands[w].Paint(lab[r0*cols:r1*cols], e.forest.Root)
+			e.finds[w] = e.bands[w].Resolve(e.forest.Root)
+			if lab != nil {
+				r0, r1 := stripBounds(w, W, rows)
+				e.bands[w].Paint(lab[r0*cols : r1*cols])
+			}
 		})
 	})
 	if e.interrupted() {
@@ -99,6 +114,10 @@ func (e *Engine) labelBand(pix []uint32, rows, cols int, conn image.Connectivity
 	}
 	return total
 }
+
+// edgeRow returns edge row i of the current band: row 2w holds strip w's
+// first row and row 2w+1 its last, with strip-local labels.
+func (e *Engine) edgeRow(i, cols int) []uint32 { return e.edge[i*cols : (i+1)*cols] }
 
 // runCounter returns the obs counter that tallies extracted runs for the
 // mode: binary foreground runs and grey equal-level runs are reported

@@ -10,8 +10,9 @@ import (
 // labeler over a bit-packed binary plane, in the lineage of Gupta et al.'s
 // two-pass parallel CCL: rows are scanned word-at-a-time into maximal
 // foreground runs, vertically adjacent runs are united in a union-find
-// with unite-by-minimum, and a second pass paints each run once with its
-// root's seed label using span writes. Because a run's seed label is the
+// with unite-by-minimum, and a second pass gives each run its root's seed
+// label — which a caller that wants pixels paints once per run with span
+// writes. Because a run's seed label is the
 // global row-major index of its first pixel plus one — and the
 // minimum-index pixel of any component necessarily starts a run — the root
 // of a merged set carries exactly the label the row-major BFS labeler

@@ -52,6 +52,7 @@ type frontier struct {
 	edges []uint32 // the seam's (slot, band label) edges
 	base  uint64   // the band's global seed offset
 	pix   []uint32 // the band's dead pixel buffer: the node index at each seed position
+	lab   []uint32 // one label row of the band: its first for the seam, its last for the commit
 }
 
 // newFrontier returns the empty frontier of a cols-wide image that keeps
@@ -59,7 +60,7 @@ type frontier struct {
 // is set.
 func newFrontier(cols, topK int, keepMerges bool) *frontier {
 	return &frontier{prevPix: make([]uint32, cols), slotRow: make([]uint32, cols),
-		topK: topK, keepMerges: keepMerges}
+		lab: make([]uint32, cols), topK: topK, keepMerges: keepMerges}
 }
 
 // begin starts the band at global seed offset base, whose pixels are pix
@@ -130,20 +131,22 @@ func (f *frontier) unite(a, b int32) bool {
 	return true
 }
 
-// seam merges the band (pixels pix, band labels lab, whole rows of the
-// frontier's width) with the frontier: it extracts the union edges
-// between the saved bottom row, labelled by slot, and the band's top row,
-// saves the band's bottom pixel row, and unites the edges in the band
-// forest. It returns the raw adjacency count and the links. The first
-// band (base 0) has no seam. A raised stop cuts the edge list short; the
-// caller discards the run.
-func (f *frontier) seam(pix, lab []uint32, conn image.Connectivity,
+// seam merges the band (pixels pix, whole rows of the frontier's width,
+// labeled by the run tables of strips) with the frontier: it paints the
+// band's first label row, extracts the union edges between the saved
+// bottom row, labelled by slot, and the band's top row, saves the band's
+// bottom pixel row, and unites the edges in the band forest. It returns
+// the raw adjacency count and the links. The first band (base 0) has no
+// seam. A raised stop cuts the edge list short; the caller discards the
+// run.
+func (f *frontier) seam(pix []uint32, strips []seq.BandLabeler, conn image.Connectivity,
 	mode seq.Mode, stop *atomic.Bool) (pairs int64, links int) {
 	cols := len(f.prevPix)
 	f.edges = f.edges[:0]
 	if f.base > 0 {
+		strips[0].PaintRow(f.lab, 0)
 		f.edges, pairs = par.AppendBoundaryEdges(f.edges, f.prevPix, pix[:cols],
-			f.slotRow, lab[:cols], conn, mode, stop)
+			f.slotRow, f.lab, conn, mode, stop)
 	}
 	copy(f.prevPix, pix[len(pix)-cols:])
 	for k := 0; k+1 < len(f.edges); k += 2 {
@@ -154,40 +157,40 @@ func (f *frontier) seam(pix, lab []uint32, conn image.Connectivity,
 	return pairs, links
 }
 
-// fold adds every pixel of the band labels lab to its component's node,
-// one run of equal labels at a time, and returns the band's seed count. A
-// component's first run starts at its seed, pixel l-1, which indexes the
-// node before any later run reads it.
-func (f *frontier) fold(lab []uint32) int {
+// fold adds every run of the band, walked strip by strip in row-major
+// order through the strips' run tables, to its component's node, and
+// returns the band's seed count: the runs whose final label is their own
+// first pixel. A component's seed run comes first among its runs, so it
+// indexes the node before any later run reads it.
+func (f *frontier) fold(strips []seq.BandLabeler) int {
 	seeds := 0
-	for i := 0; i < len(lab); {
-		l := lab[i]
-		j := i + 1
-		for j < len(lab) && lab[j] == l {
-			j++
-		}
-		if l != 0 {
-			var n int32
-			if int(l) == i+1 {
-				n = f.node(l)
-				seeds++
-			} else {
-				n = int32(f.pix[l-1])
+	for w := range strips {
+		b := &strips[w]
+		for i := 0; i < b.Rows(); i++ {
+			runs, labels, seed := b.Row(i)
+			for k, l := range labels {
+				var n int32
+				if l == seed+uint32(runs[2*k]) {
+					n = f.node(l)
+					seeds++
+				} else {
+					n = int32(f.pix[l-1])
+				}
+				f.size[n] += int64(runs[2*k+1] - runs[2*k])
 			}
-			f.size[n] += int64(j - i)
 		}
-		i = j
 	}
 	return seeds
 }
 
-// commit ends the band whose bottom label row is bot. With census set
-// (pass 1) it first sums each set's pixels into its root and records every
-// slot that joined another slot's set as a merge of two open components.
-// Both passes then rebuild the slot row and the slots from bot, one slot
-// per distinct root in first-seen order. Last, pass 1 closes every root
-// that does not reach bot.
-func (f *frontier) commit(bot []uint32, census bool) {
+// commit ends the band labeled by the run tables of strips. With census
+// set (pass 1) it first sums each set's pixels into its root and records
+// every slot that joined another slot's set as a merge of two open
+// components. Both passes then paint the band's last label row and
+// rebuild the slot row and the slots from it, one slot per distinct root
+// in first-seen order. Last, pass 1 closes every root that does not reach
+// that row.
+func (f *frontier) commit(strips []seq.BandLabeler, census bool) {
 	S := len(f.slotRoot)
 	if census {
 		for n := range f.parent {
@@ -204,9 +207,11 @@ func (f *frontier) commit(bot []uint32, census bool) {
 		}
 	}
 	f.slotRoot, f.slotSize = f.slotRoot[:0], f.slotSize[:0]
+	bottom := &strips[len(strips)-1]
+	bottom.PaintRow(f.lab, bottom.Rows()-1)
 	var last uint32
 	var s int32
-	for j, l := range bot {
+	for j, l := range f.lab {
 		if l == 0 {
 			f.slotRow[j] = 0
 			continue

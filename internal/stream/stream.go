@@ -59,10 +59,12 @@ type Options struct {
 	// the run stops at the next band boundary after the read returns.
 	Context context.Context
 	// Obs, when non-nil, receives the pipeline's phase timings
-	// (band_decode, band_merge, census_fold, band_write, checkpoint_write,
-	// resume_replay), the band engine's phases (strip_label, plus
-	// border_merge and relabel when a band spans several strips) for every
-	// band of both passes, and the labeling and merge counters.
+	// (band_decode; band_merge, the seam; census_fold, the fold over the
+	// band's runs; band_write, the seam replay and the render from the
+	// band's runs; checkpoint_write; resume_replay), the band engine's
+	// phases (strip_label, plus border_merge and relabel when a band spans
+	// several strips; none of them paints the band) for every band of both
+	// passes, and the labeling and merge counters.
 	Obs *obs.Recorder
 	// Checkpoint, when non-empty, is the path of the durable checkpoint
 	// record: after every CheckpointEvery committed census bands (and after
@@ -131,20 +133,24 @@ type Result struct {
 //
 // Pass 1 streams bands top to bottom: decode, label band-locally on the
 // host-parallel band engine (par.Engine.LabelBand, one strip per worker),
-// merge each band into the frontier — the components open at the previous
-// band's bottom row — through the shared slab-merge seam, fold the band's
-// pixels into its components, and close every component that no longer
-// reaches the bottom row. State between bands stays O(cols + TopK), plus
-// one pair per merge of two open components when a write pass or a
-// checkpoint record will read them. When out is nil the run ends there
-// with the census.
+// whose run tables are the band's labeling; merge each band into the
+// frontier — the components open at the previous band's bottom row —
+// through the shared slab-merge seam, fold the band's runs into its
+// components, and close every component that no longer reaches the
+// bottom row. No band is painted: the seam and the commit each paint the
+// one label row they read, the band's first and its last. State between
+// bands stays O(cols + TopK), plus one pair per merge of two open
+// components when a write pass or a checkpoint record will read them, and
+// the pipeline holds one band of pixels, its run tables and one label
+// row. When out is nil the run ends there with the census.
 //
 // With a non-nil out, a second pass streams the bands again, replays the
-// frontier over each band's two boundary rows, and writes the label PGM
-// of image.LabelPGMWriter, as the labeling service does, mapping each
-// band-time root to its final root through pass 1's merges. Beyond 65535
-// components that PGM cannot exist, and the call fails with ErrBadInput
-// without writing a byte; re-run without out for the census.
+// frontier over each band's two boundary rows, and renders each band's
+// runs as spans of the label PGM of image.LabelPGMWriter, as the labeling
+// service does, mapping each band-time root to its final root through
+// pass 1's merges. Beyond 65535 components that PGM cannot exist, and the
+// call fails with ErrBadInput without writing a byte; re-run without out
+// for the census.
 //
 // The output is pixel-identical to dense-renumbering the resident
 // sequential labeling: band-local seeds lifted by the band's base offset
@@ -292,9 +298,8 @@ type pipeline struct {
 	started  time.Time
 	stop     atomic.Bool // raised when ctx is done; polled by the band seam
 
-	eng     *par.Engine // labels every band of both passes
+	eng     *par.Engine // labels every band of both passes; its run tables are the band's labeling
 	pix     []uint32    // current band pixels
-	lab     []uint32    // current band band-local labels
 	scratch []byte      // raw sample bytes for ReadRows
 
 	fr *frontier // pass 1's merge state and tallies
@@ -307,18 +312,16 @@ type pipeline struct {
 }
 
 // forEachBand streams the image top to bottom starting at band index
-// from, decoding each window and labeling it on the band engine, then
-// handing it to fn with its absolute start row and the band's component
-// count. It owns the band_decode phase (the engine records its own) and
-// checks the context at every band boundary; fn runs whatever per-band
-// work the pass needs. A resumed census pass starts past the checkpointed
-// bands; the write pass always starts at 0.
+// from, decoding each window and labeling it on the band engine into run
+// tables, painting nothing, then handing it to fn with its absolute start
+// row and the band's component count. It owns the band_decode phase (the
+// engine records its own) and checks the context at every band boundary;
+// fn runs whatever per-band work the pass needs. A resumed census pass
+// starts past the checkpointed bands; the write pass always starts at 0.
 func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) error {
 	W := p.hdr.Width
-	want := p.bandRows * W
-	if cap(p.pix) < want {
+	if want := p.bandRows * W; cap(p.pix) < want {
 		p.pix = make([]uint32, want)
-		p.lab = make([]uint32, want)
 	}
 	for r0 := from * p.bandRows; r0 < p.hdr.Height; r0 += p.bandRows {
 		if err := p.interrupted(); err != nil {
@@ -328,7 +331,7 @@ func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) err
 		if r0+rows > p.hdr.Height {
 			rows = p.hdr.Height - r0
 		}
-		pix, lab := p.pix[:rows*W], p.lab[:rows*W]
+		pix := p.pix[:rows*W]
 
 		t := p.rec.StartPhase()
 		var err error
@@ -338,7 +341,7 @@ func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) err
 			return err
 		}
 
-		comps, err := p.eng.LabelBand(p.ctx, pix, rows, W, p.conn, p.mode, lab)
+		comps, err := p.eng.LabelBand(p.ctx, pix, rows, W, p.conn, p.mode, nil)
 		if err != nil {
 			if cerr := p.interrupted(); cerr != nil {
 				return cerr // report the run's own elapsed time, not the band's
@@ -370,8 +373,8 @@ func (p *pipeline) interrupted() error {
 // checkpointed band when resuming) through the frontier, producing the
 // component count, foreground count and top-K census. Each band's seam
 // (band_merge) unites the frontier's open components with the band's
-// components; its fold (census_fold) sums the band's pixels into its
-// components, records merges of two open components, rebuilds the slot
+// components; its fold (census_fold) adds each of the band's runs to its
+// component, records merges of two open components, rebuilds the slot
 // row from the band's bottom row and closes every component that no
 // longer reaches it. Counters: boundary pairs/edges/links per band merge
 // and checkpoint records written; the band engine counts runs, strip
@@ -386,13 +389,13 @@ func (p *pipeline) census() (*Result, error) {
 	f := p.fr
 	err := p.forEachBand(p.startBand, func(r0, rows, comps int) error {
 		f.stripComps += int64(comps)
-		pix, lab := p.pix[:rows*W], p.lab[:rows*W]
+		pix, strips := p.pix[:rows*W], p.eng.Strips()
 
 		t := p.rec.StartPhase()
 		if err := f.begin(uint64(r0)*uint64(W), pix, comps); err != nil {
 			return err
 		}
-		pairs, links := f.seam(pix, lab, p.conn, p.mode, &p.stop)
+		pairs, links := f.seam(pix, strips, p.conn, p.mode, &p.stop)
 		p.rec.EndPhase("band_merge", "", t)
 		if err := p.interrupted(); err != nil {
 			return err // a stopped seam is partial: commit nothing
@@ -403,8 +406,8 @@ func (p *pipeline) census() (*Result, error) {
 		f.links += int64(links)
 
 		t = p.rec.StartPhase()
-		seeds := f.fold(lab)
-		f.commit(lab[(rows-1)*W:], true)
+		seeds := f.fold(strips)
+		f.commit(strips, true)
 		p.rec.EndPhase("census_fold", "", t)
 		if seeds != comps {
 			return errs.Bad(op, "component accounting mismatch: band at row %d holds %d seeds, the band engine counted %d",
@@ -439,12 +442,12 @@ func (p *pipeline) census() (*Result, error) {
 
 // writeLabels is pass 2: stream the bands again (the band decomposition
 // and band-local labelings are deterministic, so the labels reappear
-// exactly), replay the frontier over each band's boundary rows, and write
-// the labels through image.LabelPGMWriter. A label's band-time root is its
-// set's root in the band forest when its seed lies in the top row, and its
-// own lifted seed otherwise; pass 1's merges, united into a UnionFind64
-// before the first band, map it to the final root. All of it is timed
-// under band_write.
+// exactly), replay the frontier over each band's boundary rows, and render
+// each band's runs through image.LabelPGMWriter. A label's band-time root
+// is its set's root in the band forest when its seed lies in the top row,
+// and its own lifted seed otherwise; pass 1's merges, united into a
+// UnionFind64 before the first band, map it to the final root. All of it
+// is timed under band_write.
 func (p *pipeline) writeLabels(out io.Writer, components int64) error {
 	W := p.hdr.Width
 	lw, err := image.NewLabelPGMWriter(out, W, p.hdr.Height, components)
@@ -460,16 +463,16 @@ func (p *pipeline) writeLabels(out io.Writer, components int64) error {
 	err = p.forEachBand(0, func(r0, rows, comps int) error {
 		t := p.rec.StartPhase()
 		defer p.rec.EndPhase("band_write", "", t)
-		pix, lab := p.pix[:rows*W], p.lab[:rows*W]
+		pix, strips := p.pix[:rows*W], p.eng.Strips()
 		if err := f.begin(uint64(r0)*uint64(W), pix, comps); err != nil {
 			return err
 		}
-		f.seam(pix, lab, p.conn, p.mode, &p.stop)
+		f.seam(pix, strips, p.conn, p.mode, &p.stop)
 		if err := p.interrupted(); err != nil {
 			return err
 		}
-		f.commit(lab[(rows-1)*W:], false)
-		return lw.WriteRows(lab, root)
+		f.commit(strips, false)
+		return writeBand(lw, strips, W, root)
 	})
 	if err != nil {
 		return err
@@ -477,8 +480,41 @@ func (p *pipeline) writeLabels(out io.Writer, components int64) error {
 	return lw.Close()
 }
 
+// writeBand renders a band's run tables through lw, row by row: each gap
+// as a background span and each run as a span of the component that root
+// maps the run's band label to, looked up once per change of label.
+func writeBand(lw *image.LabelPGMWriter, strips []seq.BandLabeler, cols int,
+	root func(uint32) uint64) error {
+	var last uint32 // the band label of the last run rendered
+	var r uint64    // and its root
+	for w := range strips {
+		b := &strips[w]
+		for i := 0; i < b.Rows(); i++ {
+			runs, labels, _ := b.Row(i)
+			col := int32(0)
+			for k, l := range labels {
+				s, e := runs[2*k], runs[2*k+1]
+				if l != last {
+					last, r = l, root(l)
+				}
+				if err := lw.WriteSpan(int(s-col), 0); err != nil {
+					return err
+				}
+				if err := lw.WriteSpan(int(e-s), r); err != nil {
+					return err
+				}
+				col = e
+			}
+			if err := lw.WriteSpan(cols-int(col), 0); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // bandCommitted runs after band (0-based index) has fully committed its
-// census state — merge done, pixels folded in, closed components counted,
+// census state — merge done, runs folded in, closed components counted,
 // slot row rebuilt. It first polls the band_commit fault site (rank 0, round =
 // band+1): Delay sleeps in place, Crash abandons the run exactly as a
 // process death here would, and Panic raises the injected payload. Then,

@@ -15,7 +15,11 @@
 #   5. label the DARPA scene (grey, 64-row bands) and the striped image at
 #      GOMAXPROCS=1 and at GOMAXPROCS=4 and byte-compare each pair of
 #      label PGMs: at one proc every band is one strip, at four procs
-#      every band is four strips, and the labels must not depend on that.
+#      every band is four strips, and the labels must not depend on that,
+#   6. run the census-only pass (no -out: the pass that folds each band's
+#      runs into the frontier) of both images at GOMAXPROCS=1 and 4 with
+#      -top 16 -census-json, and byte-compare each pair of census JSONs:
+#      the component sizes must not depend on the strip split either.
 #
 # Needs: go. Exits non-zero on the first failure.
 set -euo pipefail
@@ -78,6 +82,20 @@ done
 for img in darpa tall; do
     cmp "$WORKDIR/$img.1.pgm" "$WORKDIR/$img.4.pgm" || {
         echo "stream-smoke: $img label PGM differs between GOMAXPROCS 1 and 4" >&2
+        exit 1
+    }
+done
+
+echo "stream-smoke: the census must not depend on the strip split (GOMAXPROCS 1 against 4)"
+for procs in 1 4; do
+    GOMAXPROCS=$procs "$WORKDIR/imgcc" -stream -in darpa_before.pgm -grey -band-rows 64 \
+        -top 16 -census-json "$WORKDIR/darpa.$procs.json" > /dev/null
+    GOMAXPROCS=$procs "$WORKDIR/imgcc" -stream -in "$WORKDIR/tall.pgm" -band-rows 4096 \
+        -top 16 -census-json "$WORKDIR/tall.$procs.json" > /dev/null
+done
+for img in darpa tall; do
+    cmp "$WORKDIR/$img.1.json" "$WORKDIR/$img.4.json" || {
+        echo "stream-smoke: $img census differs between GOMAXPROCS 1 and 4" >&2
         exit 1
     }
 done
