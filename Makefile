@@ -51,11 +51,13 @@ fuzz-short:
 # barrier no-shows, cooperative cancellation, the barrier watchdog, and
 # the goroutine leak checks — across the simulator and host-parallel
 # backends (used by the CI chaos job). The engine's cancellation, close
-# and injected-fault tests run again at one and at four procs: where a
-# stop lands inside a strip's row loop depends on the schedule.
+# and injected-fault tests, and the root chaos matrices, run again at one
+# and at four procs: where a stop lands inside a strip's row loop depends
+# on the schedule, and the stream matrix's band-worker rows need several
+# bands in flight, whatever the runner's core count.
 chaos-short:
 	$(GO) test -race -timeout 5m -run 'Chaos|Injected|Watchdog|RunContext|LabelContext|HistogramContext|Abort|Timeout|Checkpoint|Resume|Corrupt|Mismatch|Deadline|Saturation|Shutdown' . ./internal/bdm/ ./internal/par/ ./internal/hist/ ./internal/cc/ ./internal/cli/ ./internal/fault/... ./internal/serve/ ./internal/stream/
-	$(GO) test -race -cpu 1,4 -timeout 5m -run 'Injected|Context|Chaos|Close' ./internal/par/
+	$(GO) test -race -cpu 1,4 -timeout 5m -run 'Injected|Context|Chaos|Close' . ./internal/par/
 
 # End-to-end smoke test of the labeling service: build and start imgccd,
 # wait for /healthz, POST the DARPA benchmark scene, diff the census
@@ -68,9 +70,10 @@ serve-smoke:
 # End-to-end smoke test of the out-of-core streaming pipeline: generate a
 # 64x70000 striped PGM bandwise, label it with imgcc -stream, check the
 # known component count, validate the metrics document, re-stream the
-# 16-bit label PGM in grey mode, and byte-compare the label PGMs and the
-# census-only JSONs of it and the DARPA scene at GOMAXPROCS 1 and 4 (used
-# by the CI stream-smoke job).
+# 16-bit label PGM in grey mode, byte-compare the label PGMs of it and
+# the DARPA scene at GOMAXPROCS 1 and 4 and of DARPA as one band split
+# into four strips, and byte-compare their census-only JSONs at
+# GOMAXPROCS 1 and 4 (used by the CI stream-smoke job).
 stream-smoke:
 	./scripts/stream_smoke.sh
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -338,7 +339,11 @@ func TestChaosMatrixServer(t *testing.T) {
 // injected crash at a band commit, resume from the surviving checkpoint,
 // and a torn checkpoint record — the streaming pipeline's documented
 // fault classes, each asserted against its typed sentinel, with the
-// resumed output compared byte for byte against an uninterrupted run.
+// resumed output compared byte for byte against an uninterrupted run —
+// and faults in the band workers: a delay, a panic and a crash. Its 7-row
+// bands label as bands in flight, one per core, so the worker rows need
+// GOMAXPROCS >= 2 to overlap bands; make chaos-short runs them at one and
+// at four procs.
 func TestChaosMatrixStream(t *testing.T) {
 	leakcheck.Check(t)
 	im := must(GeneratePattern(DualSpiral, 64))
@@ -377,6 +382,94 @@ func TestChaosMatrixStream(t *testing.T) {
 		res, err := stream.Label(bytes.NewReader(pgm.Bytes()), &out, resume)
 		if err != nil {
 			t.Fatalf("resume after crash: %v", err)
+		}
+		if res.Components != ref.Components || res.Foreground != ref.Foreground {
+			t.Fatalf("resumed census %d/%d, want %d/%d",
+				res.Components, res.Foreground, ref.Components, ref.Foreground)
+		}
+		if !bytes.Equal(out.Bytes(), refOut.Bytes()) {
+			t.Fatal("resumed label PGM differs from the uninterrupted run")
+		}
+	})
+
+	// With bands in flight, band 0's worker sleeps while the others label
+	// bands 1.. ahead of it; the commit must still take the bands in band
+	// order, so the census, the label PGM and the final checkpoint record
+	// equal an undisturbed run's. At -cpu 1 one band is in flight, and the
+	// row checks only that a delayed worker changes nothing.
+	t.Run("worker-delay", func(t *testing.T) {
+		dir := t.TempDir()
+		run := func(name string, inj *fault.Injector) (string, []byte, []byte) {
+			o := base
+			o.Checkpoint = filepath.Join(dir, name)
+			o.Fault = inj
+			var out bytes.Buffer
+			res, err := stream.Label(bytes.NewReader(pgm.Bytes()), &out, o)
+			if err != nil {
+				t.Fatalf("%s run: %v", name, err)
+			}
+			record, err := os.ReadFile(o.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("%+v", *res), out.Bytes(), record
+		}
+		wantRes, wantOut, wantRecord := run("plain.ckpt", nil)
+		gotRes, gotOut, gotRecord := run("delayed.ckpt",
+			fault.New(1, fault.Delay, 1).At("band_label").OnRound(1).WithDelay(20*time.Millisecond))
+		if gotRes != wantRes {
+			t.Fatalf("delayed census\n %s\nwant\n %s", gotRes, wantRes)
+		}
+		if !bytes.Equal(gotOut, wantOut) {
+			t.Fatal("delayed label PGM differs from the undisturbed run")
+		}
+		if !bytes.Equal(gotRecord, wantRecord) {
+			t.Fatal("delayed final checkpoint record differs from the undisturbed run")
+		}
+	})
+
+	// A band worker has no caller to unwind to: its panic comes back from
+	// Label as a typed ErrAborted, and the leak check sees every worker
+	// gone. At -cpu 1 the one band worker panics the same way.
+	t.Run("worker-panic", func(t *testing.T) {
+		o := base
+		o.Fault = fault.New(1, fault.Panic, 1).At("band_label").OnRound(4)
+		_, err := stream.Label(bytes.NewReader(pgm.Bytes()), io.Discard, o)
+		if !errors.Is(err, ErrAborted) {
+			t.Fatalf("err = %v, want ErrAborted", err)
+		}
+		var injected *fault.Injected
+		if !errors.As(err, &injected) || injected.Site.Name != "band_label" {
+			t.Fatalf("err %v does not wrap the injected band_label fault", err)
+		}
+	})
+
+	// A crash in a band worker abandons the run once the commit reaches
+	// its band, and the bands labeled ahead of it are lost; resuming from
+	// the last record gives the uninterrupted output. At -cpu 1 nothing is
+	// labeled ahead, and the row is a crash-resume at the worker's site.
+	t.Run("worker-crash-resume", func(t *testing.T) {
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		crash := base
+		crash.Checkpoint = ckpt
+		crash.CheckpointEvery = 2
+		crash.Fault = fault.New(1, fault.Crash, 1).At("band_label").OnRound(6)
+		_, err := stream.Label(bytes.NewReader(pgm.Bytes()), nil, crash)
+		var injected *fault.Injected
+		if !errors.Is(err, ErrAborted) || !errors.As(err, &injected) || injected.Site.Name != "band_label" {
+			t.Fatalf("err = %v, want ErrAborted wrapping the injected band_label fault", err)
+		}
+
+		resume := base
+		resume.Checkpoint = ckpt
+		resume.Resume = true
+		var out bytes.Buffer
+		res, err := stream.Label(bytes.NewReader(pgm.Bytes()), &out, resume)
+		if err != nil {
+			t.Fatalf("resume after crash: %v", err)
+		}
+		if res.ResumedFrom != 4 {
+			t.Fatalf("resumed from band %d, want 4 (the last record before band 5)", res.ResumedFrom)
 		}
 		if res.Components != ref.Components || res.Foreground != ref.Foreground {
 			t.Fatalf("resumed census %d/%d, want %d/%d",

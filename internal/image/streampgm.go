@@ -10,9 +10,10 @@ import (
 // This file is the out-of-core half of the PGM support: a header probe and a
 // row-window reader over an io.ReaderAt, so the streaming pipeline of
 // internal/stream can label images far beyond the resident MaxSide ceiling
-// while holding only one band of rows in memory. Unlike ReadPGM, the
-// streaming form accepts rectangular images: a satellite scan is usually a
-// long strip, and the band decomposition never relies on squareness.
+// while holding only the bands of rows it is labeling in memory. Unlike
+// ReadPGM, the streaming form accepts rectangular images: a satellite scan
+// is usually a long strip, and the band decomposition never relies on
+// squareness.
 
 const (
 	// MaxStreamHeaderBytes bounds how deep into the file the header probe

@@ -363,8 +363,9 @@ type commCell struct {
 // *Recorder is the disabled recorder: every method is a no-op that
 // performs no allocation and reads no clock, so engines call the recorder
 // unconditionally. A non-nil Recorder is safe for concurrent use by the
-// worker goroutines of one engine; epoch handling is by Reset (the
-// engines accumulate, the caller snapshots and resets between runs).
+// worker goroutines of one engine, or of the several engines and band
+// workers of one streaming run; epoch handling is by Reset (the engines
+// accumulate, the caller snapshots and resets between runs).
 type Recorder struct {
 	counters [numCounters]atomic.Int64
 

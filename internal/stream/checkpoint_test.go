@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -31,33 +32,55 @@ func censusKey(r *Result) string {
 		r.Width, r.Height, r.Components, r.Foreground, r.Bands, r.BandRows, r.Links, r.Top)
 }
 
+// wideSpiral tiles a dual spiral of side rows across cols columns: a
+// rows x cols image whose components cross every band and strip boundary.
+func wideSpiral(rows, cols int) []uint32 {
+	sp := image.Generate(image.DualSpiral, rows)
+	pix := make([]uint32, rows*cols)
+	for r := 0; r < rows; r++ {
+		for c := range cols {
+			pix[r*cols+c] = sp.Pix[r*rows+c%rows]
+		}
+	}
+	return pix
+}
+
 // TestResumeByteIdentical is the core crash/resume sweep: kill the census
 // pass at every band boundary, resume from the latest durable checkpoint,
 // and demand the census and the label PGM come out byte-identical to an
 // uninterrupted run — at more than one checkpoint cadence, so resumes
 // both at a checkpointed band and several bands past one are covered. The
-// 7-row bands stay on one strip; the 32-row bands of the taller scene
-// split across the band engine's workers once GOMAXPROCS >= 2, so a
-// crashed and resumed band then runs several strips and their seams. The
-// DARPA scenes hold few components that merge across bands; the noise row
-// sits near the percolation threshold, where almost every band closes
-// components and merges open ones, so its records carry a full frontier,
-// a top list and a growing merge list.
+// 7- and 32-row bands are far below the band budget, so at GOMAXPROCS >= 2
+// they label as bands in flight, one strip each. The wide row's bands
+// hold more than half of DefaultMaxBandPixels, so only one is in flight,
+// and at GOMAXPROCS >= 2 its engine splits it into strips: a crashed and
+// resumed band then runs several strips and their seams. The DARPA scenes
+// hold few components that merge across bands; the noise row sits near
+// the percolation threshold, where almost every band closes components
+// and merges open ones, so its records carry a full frontier, a top list
+// and a growing merge list.
 func TestResumeByteIdentical(t *testing.T) {
 	leakcheck.Check(t)
+	square := func(im *image.Image) []byte { return encodePGM(im.Pix, im.N, im.N, 255) }
+	const wideRows, wideCols, wideBand = 1066, 4200, 500 // 2.1 Mi-pixel bands
+	if 2*wideBand*wideCols <= DefaultMaxBandPixels {
+		t.Fatalf("the wide row's %d-row bands fit the band budget twice", wideBand)
+	}
 	for _, c := range []struct {
 		prefix   string
-		im       *image.Image
+		pgm      []byte
+		rows     int
 		conn     image.Connectivity
 		bandRows int
 	}{
-		{"", image.DARPAScene(60, 12, 7), image.Conn8, 7},
-		{"rows32/", image.DARPAScene(128, 12, 7), image.Conn8, 32},
-		{"noise/", image.RandomBinary(64, 0.59, 7), image.Conn4, 3},
+		{"", square(image.DARPAScene(60, 12, 7)), 60, image.Conn8, 7},
+		{"rows32/", square(image.DARPAScene(128, 12, 7)), 128, image.Conn8, 32},
+		{"noise/", square(image.RandomBinary(64, 0.59, 7)), 64, image.Conn4, 3},
+		{"wide/", encodePGM(wideSpiral(wideRows, wideCols), wideRows, wideCols, 255),
+			wideRows, image.Conn8, wideBand},
 	} {
-		im, bandRows := c.im, c.bandRows
-		pgm := encodePGM(im.Pix, im.N, im.N, 255)
-		totalBands := (im.N + bandRows - 1) / bandRows
+		pgm, bandRows := c.pgm, c.bandRows
+		totalBands := (c.rows + bandRows - 1) / bandRows
 
 		base := Options{Conn: c.conn, BandRows: bandRows, TopK: 4}
 		wantRes, wantPGM := streamLabel(t, pgm, base)
@@ -230,15 +253,23 @@ func writeCheckpointFor(t *testing.T, pgm []byte, opt Options) (string, []byte) 
 // TestCheckpointRecordReproducible: two identical checkpointed runs write
 // byte-identical records, because every section has a deterministic
 // order: slots in first-seen column order, the top list in Result.Top's
-// order, merges in recording order.
+// order, merges in recording order. The runs are at GOMAXPROCS 1 and 4,
+// so the record must not depend on how many bands are in flight either;
+// on a machine with fewer cores the second run still keeps four bands in
+// flight, interleaved.
 func TestCheckpointRecordReproducible(t *testing.T) {
 	im := image.DARPAScene(128, 12, 7)
 	pgm := encodePGM(im.Pix, im.N, im.N, 255)
 	opt := Options{Mode: seq.Grey, BandRows: 8, CheckpointEvery: 3}
-	_, first := writeCheckpointFor(t, pgm, opt)
-	_, second := writeCheckpointFor(t, pgm, opt)
+	record := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		_, b := writeCheckpointFor(t, pgm, opt)
+		return b
+	}
+	first, second := record(1), record(4)
 	if !bytes.Equal(first, second) {
-		t.Fatalf("two identical runs wrote different %d- and %d-byte checkpoint records", len(first), len(second))
+		t.Fatalf("runs at GOMAXPROCS 1 and 4 wrote different %d- and %d-byte checkpoint records",
+			len(first), len(second))
 	}
 }
 

@@ -52,7 +52,6 @@ type frontier struct {
 	edges []uint32 // the seam's (slot, band label) edges
 	base  uint64   // the band's global seed offset
 	pix   []uint32 // the band's dead pixel buffer: the node index at each seed position
-	lab   []uint32 // one label row of the band: its first for the seam, its last for the commit
 }
 
 // newFrontier returns the empty frontier of a cols-wide image that keeps
@@ -60,7 +59,7 @@ type frontier struct {
 // is set.
 func newFrontier(cols, topK int, keepMerges bool) *frontier {
 	return &frontier{prevPix: make([]uint32, cols), slotRow: make([]uint32, cols),
-		lab: make([]uint32, cols), topK: topK, keepMerges: keepMerges}
+		topK: topK, keepMerges: keepMerges}
 }
 
 // begin starts the band at global seed offset base, whose pixels are pix
@@ -132,21 +131,19 @@ func (f *frontier) unite(a, b int32) bool {
 }
 
 // seam merges the band (pixels pix, whole rows of the frontier's width,
-// labeled by the run tables of strips) with the frontier: it paints the
-// band's first label row, extracts the union edges between the saved
-// bottom row, labelled by slot, and the band's top row, saves the band's
-// bottom pixel row, and unites the edges in the band forest. It returns
-// the raw adjacency count and the links. The first band (base 0) has no
-// seam. A raised stop cuts the edge list short; the caller discards the
-// run.
-func (f *frontier) seam(pix []uint32, strips []seq.BandLabeler, conn image.Connectivity,
+// whose first label row is first) with the frontier: it extracts the
+// union edges between the saved bottom row, labelled by slot, and the
+// band's top row, saves the band's bottom pixel row, and unites the edges
+// in the band forest. It returns the raw adjacency count and the links.
+// The first band (base 0) has no seam and no first row. A raised stop
+// cuts the edge list short; the caller discards the run.
+func (f *frontier) seam(pix, first []uint32, conn image.Connectivity,
 	mode seq.Mode, stop *atomic.Bool) (pairs int64, links int) {
 	cols := len(f.prevPix)
 	f.edges = f.edges[:0]
 	if f.base > 0 {
-		strips[0].PaintRow(f.lab, 0)
 		f.edges, pairs = par.AppendBoundaryEdges(f.edges, f.prevPix, pix[:cols],
-			f.slotRow, f.lab, conn, mode, stop)
+			f.slotRow, first, conn, mode, stop)
 	}
 	copy(f.prevPix, pix[len(pix)-cols:])
 	for k := 0; k+1 < len(f.edges); k += 2 {
@@ -183,14 +180,13 @@ func (f *frontier) fold(strips []seq.BandLabeler) int {
 	return seeds
 }
 
-// commit ends the band labeled by the run tables of strips. With census
-// set (pass 1) it first sums each set's pixels into its root and records
+// commit ends the band whose last label row is last. With census set
+// (pass 1) it first sums each set's pixels into its root and records
 // every slot that joined another slot's set as a merge of two open
-// components. Both passes then paint the band's last label row and
-// rebuild the slot row and the slots from it, one slot per distinct root
-// in first-seen order. Last, pass 1 closes every root that does not reach
-// that row.
-func (f *frontier) commit(strips []seq.BandLabeler, census bool) {
+// components. Both passes then rebuild the slot row and the slots from
+// the last row, one slot per distinct root in first-seen order. Last,
+// pass 1 closes every root that does not reach that row.
+func (f *frontier) commit(last []uint32, census bool) {
 	S := len(f.slotRoot)
 	if census {
 		for n := range f.parent {
@@ -207,17 +203,15 @@ func (f *frontier) commit(strips []seq.BandLabeler, census bool) {
 		}
 	}
 	f.slotRoot, f.slotSize = f.slotRoot[:0], f.slotSize[:0]
-	bottom := &strips[len(strips)-1]
-	bottom.PaintRow(f.lab, bottom.Rows()-1)
-	var last uint32
+	var prev uint32
 	var s int32
-	for j, l := range f.lab {
+	for j, l := range last {
 		if l == 0 {
 			f.slotRow[j] = 0
 			continue
 		}
-		if l != last {
-			last = l
+		if l != prev {
+			prev = l
 			r := f.find(f.node(l))
 			if f.slot[r] < 0 {
 				f.slot[r] = int32(len(f.slotRoot))

@@ -2,8 +2,10 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,11 +19,13 @@ import (
 
 const op = "stream.Label"
 
-// DefaultMaxBandPixels is the band budget when Options.BandRows is zero:
-// bands are sized to at most this many resident pixels (4 Mi
-// pixels = 16 MiB of decoded uint32s), small enough to stay cache-friendly
-// and large enough that the per-band overhead (one ReadAt, one boundary
-// merge) is noise.
+// DefaultMaxBandPixels is the band budget: the pixels the bands in flight
+// may hold together (4 Mi pixels = 16 MiB of decoded uint32s). With
+// Options.BandRows zero, one band fills it, which keeps a band
+// cache-friendly and large enough that the per-band overhead (one ReadAt,
+// one boundary merge) is noise. Thinner bands share it: as many label at
+// once as fit, up to one per core, so the pixels in flight never exceed
+// max(budget, one band).
 const DefaultMaxBandPixels = 4 << 20
 
 // DefaultCheckpointEvery is the checkpoint cadence when Options.Checkpoint
@@ -31,10 +35,11 @@ const DefaultMaxBandPixels = 4 << 20
 // a crash to at most sixteen bands of census.
 const DefaultCheckpointEvery = 16
 
-// minStripRows is the thinnest strip the band engine splits a band into:
-// the engine gets GOMAXPROCS workers, clipped to bandRows/minStripRows. A
-// thinner strip spends more on its serial seam and its boundary-row
-// lookups than it saves, so 8-row bands stay on one worker.
+// minStripRows is the thinnest strip a band engine splits a band into:
+// each band in flight gets the cores the other bands leave it, clipped to
+// bandRows/minStripRows workers. A thinner strip spends more on its
+// serial seam and its boundary-row lookups than it saves, so 8-row bands
+// stay on one worker each, and use the cores as bands in flight instead.
 const minStripRows = 8
 
 // Options configures an out-of-core labeling run. The zero value labels
@@ -53,18 +58,23 @@ type Options struct {
 	// TopK asks for the sizes of the K largest components (0 = none).
 	TopK int
 	// Context, when non-nil, cancels the run cooperatively, and the run
-	// returns the context's typed error: the band engine watches it inside
+	// returns the context's typed error: the band engines watch it inside
 	// every band, the band seam polls a stop flag it raises, and every
 	// band boundary checks it. A ReadAt that blocks is not interrupted;
 	// the run stops at the next band boundary after the read returns.
 	Context context.Context
 	// Obs, when non-nil, receives the pipeline's phase timings
-	// (band_decode; band_merge, the seam; census_fold, the fold over the
-	// band's runs; band_write, the seam replay and the render from the
-	// band's runs; checkpoint_write; resume_replay), the band engine's
-	// phases (strip_label, plus border_merge and relabel when a band spans
-	// several strips; none of them paints the band) for every band of both
-	// passes, and the labeling and merge counters.
+	// (band_decode; band_merge, the seam and the paint of the band's two
+	// edge label rows it reads; band_wait, the commit's wait for the next
+	// labeled band; census_fold, the fold over the band's runs;
+	// band_write, the seam replay and the render from the band's runs;
+	// checkpoint_write; resume_replay), the band engines' phases
+	// (strip_label, plus border_merge and relabel when a band spans
+	// several strips; none of them paints the band) for every band of
+	// both passes, and the labeling and merge counters. The band workers'
+	// phases (band_decode, the paint, the engines') overlap the commit's,
+	// so with several bands in flight the phases sum to more than the
+	// wall time; the wall time less band_wait is the commit's busy time.
 	Obs *obs.Recorder
 	// Checkpoint, when non-empty, is the path of the durable checkpoint
 	// record: after every CheckpointEvery committed census bands (and after
@@ -83,12 +93,17 @@ type Options struct {
 	// ErrCheckpointCorrupt; a record whose input or options fingerprint
 	// drifted fails with ErrCheckpointMismatch. Never silently wrong output.
 	Resume bool
-	// Fault, when non-nil, is consulted at the streaming pipeline's
-	// band_commit site (rank 0, round = band index + 1, after the band's
-	// census state commits and before any checkpoint write): Delay sleeps
-	// there, Crash abandons the run with ErrAborted wrapping
-	// *fault.Injected — the hook the crash chaos tests and the kill-window
-	// pacing in imgcc use.
+	// Fault, when non-nil, is consulted at two sites of the streaming
+	// pipeline, in both passes. At band_label (rank = the band's slot,
+	// round = band index + 1), a band worker polls it after labeling the
+	// band: Delay sleeps there, so later bands can finish first, and Crash
+	// and Panic abandon the run with ErrAborted wrapping *fault.Injected
+	// once the commit reaches that band. At band_commit (rank 0, round =
+	// band index + 1), the commit polls it after the band's census state
+	// commits and before any checkpoint write: Delay sleeps there, Crash
+	// abandons the run with ErrAborted wrapping *fault.Injected, and Panic
+	// unwinds to the caller. These are the hooks the crash chaos tests and
+	// the kill-window pacing in imgcc use.
 	Fault *fault.Injector
 }
 
@@ -126,23 +141,27 @@ type Result struct {
 }
 
 // Label labels the connected components of the on-disk binary PGM behind
-// r, holding only one band of rows in memory at a time. The image may be
-// rectangular, either P5 sample width, and arbitrarily tall — total
+// r, holding only the bands in flight in memory: no more pixels than
+// DefaultMaxBandPixels, or one band when a band is larger. The image may
+// be rectangular, either P5 sample width, and arbitrarily tall — total
 // pixels may exceed 2^32, which the resident path's uint32 label space
 // cannot represent.
 //
-// Pass 1 streams bands top to bottom: decode, label band-locally on the
-// host-parallel band engine (par.Engine.LabelBand, one strip per worker),
-// whose run tables are the band's labeling; merge each band into the
-// frontier — the components open at the previous band's bottom row —
-// through the shared slab-merge seam, fold the band's runs into its
-// components, and close every component that no longer reaches the
-// bottom row. No band is painted: the seam and the commit each paint the
-// one label row they read, the band's first and its last. State between
-// bands stays O(cols + TopK), plus one pair per merge of two open
-// components when a write pass or a checkpoint record will read them, and
-// the pipeline holds one band of pixels, its run tables and one label
-// row. When out is nil the run ends there with the census.
+// Pass 1 streams bands top to bottom. Up to D bands are in flight, D =
+// min(GOMAXPROCS, bands left, max(1, DefaultMaxBandPixels / band
+// pixels)): each of D band workers decodes its band, labels it
+// band-locally on its own host-parallel band engine
+// (par.Engine.LabelBand, one strip per engine worker), whose run tables
+// are the band's labeling, and paints the band's first and last label
+// rows. The caller's goroutine commits the bands strictly in band order:
+// it merges each band into the frontier — the components open at the
+// previous band's bottom row — through the shared slab-merge seam, folds
+// the band's runs into its components, and closes every component that
+// no longer reaches the bottom row. Only the commit touches the frontier,
+// the checkpoint and the output, so nothing but the speed depends on D.
+// State between bands stays O(cols + TopK), plus one pair per merge of
+// two open components when a write pass or a checkpoint record will read
+// them. When out is nil the run ends there with the census.
 //
 // With a non-nil out, a second pass streams the bands again, replays the
 // frontier over each band's two boundary rows, and renders each band's
@@ -162,6 +181,9 @@ type Result struct {
 // checkpoint record on its cadence; with Options.Resume, pass 1 restarts
 // from that record instead of band 0 and the run's outputs are
 // byte-identical to an uninterrupted run (see Options and DESIGN.md §15).
+//
+// Label returns only after every band worker has exited, on every path,
+// and reads r only while it runs; a ReadAt that blocks delays the return.
 func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 	conn := opt.Conn
 	if conn == 0 {
@@ -223,9 +245,7 @@ func Label(r io.ReaderAt, out io.Writer, opt Options) (*Result, error) {
 	if p.ctx != nil {
 		defer context.AfterFunc(p.ctx, func() { p.stop.Store(true) })()
 	}
-	p.eng = par.NewEngine(max(1, min(runtime.GOMAXPROCS(0), bandRows/minStripRows)))
-	p.eng.SetObserver(opt.Obs)
-	defer p.eng.Close()
+	defer p.closeSlots()
 
 	if p.ckptPath != "" {
 		// The raw header bytes are the checkpoint's input fingerprint,
@@ -285,8 +305,7 @@ func resolveBandRows(hdr *image.PGMHeader, opt Options) (int, error) {
 }
 
 // pipeline carries the per-run state shared by the census and label
-// passes: the band engine and the reusable band buffers, and pass 1's
-// frontier.
+// passes: the band slots and pass 1's frontier.
 type pipeline struct {
 	hdr      image.PGMHeader
 	r        io.ReaderAt
@@ -298,11 +317,8 @@ type pipeline struct {
 	started  time.Time
 	stop     atomic.Bool // raised when ctx is done; polled by the band seam
 
-	eng     *par.Engine // labels every band of both passes; its run tables are the band's labeling
-	pix     []uint32    // current band pixels
-	scratch []byte      // raw sample bytes for ReadRows
-
-	fr *frontier // pass 1's merge state and tallies
+	slots []*slot   // the bands in flight; the next pass reuses them when its depth matches
+	fr    *frontier // pass 1's merge state and tallies
 
 	ckptPath  string // checkpoint record path ("" = no checkpointing)
 	ckptEvery int    // checkpoint cadence in committed bands
@@ -311,48 +327,192 @@ type pipeline struct {
 	fault     *fault.Injector
 }
 
-// forEachBand streams the image top to bottom starting at band index
-// from, decoding each window and labeling it on the band engine into run
-// tables, painting nothing, then handing it to fn with its absolute start
-// row and the band's component count. It owns the band_decode phase (the
-// engine records its own) and checks the context at every band boundary;
-// fn runs whatever per-band work the pass needs. A resumed census pass
-// starts past the checkpointed bands; the write pass always starts at 0.
-func (p *pipeline) forEachBand(from int, fn func(r0, rows, comps int) error) error {
-	W := p.hdr.Width
-	if want := p.bandRows * W; cap(p.pix) < want {
-		p.pix = make([]uint32, want)
+// slot is one band in flight: a band worker's engine and buffers, and the
+// band the worker last labeled into them. The worker hands the band to
+// the commit and touches the slot again only once the commit releases it:
+// until then the frontier keeps its node index in pix, and the commit
+// reads the run tables and the two label rows.
+type slot struct {
+	eng         *par.Engine // labels the slot's bands; its run tables are the band's labeling
+	pix         []uint32    // the band's pixels, then the frontier's node index
+	scratch     []byte      // raw sample bytes for ReadRows
+	first, last []uint32    // the band's first label row (after band 0) and its last
+
+	r0, rows, comps int // the band held: its first row, height and component count
+
+	// The hand-offs alternate, so each channel holds at most one message
+	// and neither send blocks.
+	ready chan error    // worker to commit: the band is labeled, or why not
+	free  chan struct{} // commit to worker: the band is committed, take the next
+}
+
+// depth returns how many bands of a pass of n bands are in flight, and
+// the workers of each band's engine: one band per core at most, as many
+// as fit the band budget together, and the cores left over split each
+// band into strips no thinner than minStripRows.
+func (p *pipeline) depth(n int) (d, workers int) {
+	procs := runtime.GOMAXPROCS(0)
+	d = min(procs, n, max(1, DefaultMaxBandPixels/(p.bandRows*p.hdr.Width)))
+	return d, max(1, min(procs/d, p.bandRows/minStripRows))
+}
+
+// reslot makes d band slots whose engines have workers workers each,
+// keeping the previous pass's slots when they match.
+func (p *pipeline) reslot(d, workers int) {
+	if len(p.slots) == d && p.slots[0].eng.Workers() == workers {
+		return
 	}
-	for r0 := from * p.bandRows; r0 < p.hdr.Height; r0 += p.bandRows {
+	p.closeSlots()
+	W := p.hdr.Width
+	for range d {
+		s := &slot{eng: par.NewEngine(workers), pix: make([]uint32, p.bandRows*W),
+			first: make([]uint32, W), last: make([]uint32, W)}
+		s.eng.SetObserver(p.rec)
+		p.slots = append(p.slots, s)
+	}
+}
+
+// closeSlots closes the slots' engines and drops the slots.
+func (p *pipeline) closeSlots() {
+	for _, s := range p.slots {
+		s.eng.Close()
+	}
+	p.slots = nil
+}
+
+// forEachBand streams the image top to bottom from band index from and
+// hands each band, labeled, to fn in band order on the caller's goroutine.
+// Slot i's band worker takes bands from+i, from+i+d, ... in turn, and
+// takes each only once fn has returned for the slot's last one. The
+// caller's goroutine checks the context at every band boundary, waits for
+// the band's worker (band_wait), counts the band and runs fn, which does
+// whatever per-band work the pass needs. A resumed census pass starts past
+// the checkpointed bands; the write pass always starts at 0. The first
+// error in band order ends the pass, and forEachBand returns only after
+// every band worker has exited, on every path, a panic in fn included.
+func (p *pipeline) forEachBand(from int, fn func(s *slot) error) error {
+	n := (p.hdr.Height + p.bandRows - 1) / p.bandRows
+	if from >= n {
+		return nil
+	}
+	d, workers := p.depth(n - from)
+	p.reslot(d, workers)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, s := range p.slots {
+		s.ready, s.free = make(chan error, 1), make(chan struct{}, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.work(s, i, from+i, d, n, done)
+		}()
+	}
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	for k := from; k < n; k++ {
 		if err := p.interrupted(); err != nil {
 			return err
 		}
-		rows := p.bandRows
-		if r0+rows > p.hdr.Height {
-			rows = p.hdr.Height - r0
-		}
-		pix := p.pix[:rows*W]
-
+		s := p.slots[(k-from)%d]
 		t := p.rec.StartPhase()
-		var err error
-		p.scratch, err = p.hdr.ReadRows(p.r, r0, rows, pix, p.scratch)
-		p.rec.EndPhase("band_decode", "", t)
+		err := <-s.ready
+		p.rec.EndPhase("band_wait", "", t)
 		if err != nil {
 			return err
 		}
-
-		comps, err := p.eng.LabelBand(p.ctx, pix, rows, W, p.conn, p.mode, nil)
-		if err != nil {
-			if cerr := p.interrupted(); cerr != nil {
-				return cerr // report the run's own elapsed time, not the band's
-			}
-			return err
-		}
-
 		p.rec.Add(obs.CtrBands, 1)
-		if err := fn(r0, rows, comps); err != nil {
+		if err := fn(s); err != nil {
 			return err
 		}
+		s.free <- struct{}{}
+	}
+	return nil
+}
+
+// work is the band worker of slot s (rank i): it labels bands k, k+d, ...
+// below n into the slot, reports each on s.ready and waits on s.free
+// before it takes the next. It quits after an error, and once done closes.
+func (p *pipeline) work(s *slot, i, k, d, n int, done <-chan struct{}) {
+	for ; k < n; k += d {
+		err := p.labelBand(s, i, k)
+		s.ready <- err
+		if err != nil || k+d >= n {
+			return
+		}
+		select {
+		case <-s.free:
+		case <-done:
+			return
+		}
+	}
+}
+
+// labelBand decodes band k into slot s (rank i), labels it on the slot's
+// engine into run tables, painting nothing, and paints the band's last
+// label row and, after band 0, its first, which the commit's seam and
+// slot-row rebuild read; the paint is timed under band_merge, the
+// engine's phases by the engine. It then polls the band_label fault site
+// (rank i, round k+1). A band worker has no caller to unwind to, so any
+// panic, an injected one included, comes back as ErrAborted.
+func (p *pipeline) labelBand(s *slot, i, k int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			cause, ok := r.(error)
+			if !ok {
+				cause = fmt.Errorf("panic: %v", r)
+			}
+			err = errs.Aborted(op, cause, "band worker %d panicked on band %d: %v", i, k, r)
+		}
+	}()
+	if err := p.interrupted(); err != nil {
+		return err
+	}
+	W := p.hdr.Width
+	s.r0 = k * p.bandRows
+	s.rows = min(p.bandRows, p.hdr.Height-s.r0)
+	pix := s.pix[:s.rows*W]
+
+	t := p.rec.StartPhase()
+	s.scratch, err = p.hdr.ReadRows(p.r, s.r0, s.rows, pix, s.scratch)
+	p.rec.EndPhase("band_decode", "", t)
+	if err != nil {
+		return err
+	}
+	if s.comps, err = s.eng.LabelBand(p.ctx, pix, s.rows, W, p.conn, p.mode, nil); err != nil {
+		if cerr := p.interrupted(); cerr != nil {
+			return cerr // report the run's own elapsed time, not the band's
+		}
+		return err
+	}
+
+	t = p.rec.StartPhase()
+	strips := s.eng.Strips()
+	if k > 0 {
+		strips[0].PaintRow(s.first, 0)
+	}
+	bottom := &strips[len(strips)-1]
+	bottom.PaintRow(s.last, bottom.Rows()-1)
+	p.rec.EndPhase("band_merge", "", t)
+
+	return p.injectFault(fault.Site{Name: "band_label", Rank: i, Round: k + 1}, "labeled")
+}
+
+// injectFault polls a fault site of band site.Round-1: Delay sleeps in
+// place, Crash abandons the run exactly as a process death there would,
+// with ErrAborted wrapping *fault.Injected, and Panic raises the injected
+// payload. after says what the band has done at the site.
+func (p *pipeline) injectFault(site fault.Site, after string) error {
+	switch act := p.fault.Decide(site); act.Class {
+	case fault.None:
+	case fault.Delay:
+		time.Sleep(act.Delay)
+	case fault.Panic:
+		panic(&fault.Injected{Site: site})
+	default: // Crash (and NoShow, degraded): abandon the run right here.
+		return errs.Aborted(op, &fault.Injected{Site: site},
+			"injected crash after band %d %s", site.Round-1, after)
 	}
 	return nil
 }
@@ -387,15 +547,15 @@ func (p *pipeline) interrupted() error {
 func (p *pipeline) census() (*Result, error) {
 	W := p.hdr.Width
 	f := p.fr
-	err := p.forEachBand(p.startBand, func(r0, rows, comps int) error {
-		f.stripComps += int64(comps)
-		pix, strips := p.pix[:rows*W], p.eng.Strips()
+	err := p.forEachBand(p.startBand, func(s *slot) error {
+		f.stripComps += int64(s.comps)
+		pix, strips := s.pix[:s.rows*W], s.eng.Strips()
 
 		t := p.rec.StartPhase()
-		if err := f.begin(uint64(r0)*uint64(W), pix, comps); err != nil {
+		if err := f.begin(uint64(s.r0)*uint64(W), pix, s.comps); err != nil {
 			return err
 		}
-		pairs, links := f.seam(pix, strips, p.conn, p.mode, &p.stop)
+		pairs, links := f.seam(pix, s.first, p.conn, p.mode, &p.stop)
 		p.rec.EndPhase("band_merge", "", t)
 		if err := p.interrupted(); err != nil {
 			return err // a stopped seam is partial: commit nothing
@@ -407,16 +567,16 @@ func (p *pipeline) census() (*Result, error) {
 
 		t = p.rec.StartPhase()
 		seeds := f.fold(strips)
-		f.commit(strips, true)
+		f.commit(s.last, true)
 		p.rec.EndPhase("census_fold", "", t)
-		if seeds != comps {
+		if seeds != s.comps {
 			return errs.Bad(op, "component accounting mismatch: band at row %d holds %d seeds, the band engine counted %d",
-				r0, seeds, comps)
+				s.r0, seeds, s.comps)
 		}
 
 		// The band's census state is now fully committed: fault site, then
 		// the checkpoint cadence.
-		return p.bandCommitted(r0/p.bandRows, r0+rows == p.hdr.Height)
+		return p.bandCommitted(s.r0/p.bandRows, s.r0+s.rows == p.hdr.Height)
 	})
 	if err != nil {
 		return nil, err
@@ -460,19 +620,19 @@ func (p *pipeline) writeLabels(out io.Writer, components int64) error {
 	}
 	f := newFrontier(W, 0, false)
 	root := func(l uint32) uint64 { return final.Find(f.root(l)) }
-	err = p.forEachBand(0, func(r0, rows, comps int) error {
+	err = p.forEachBand(0, func(s *slot) error {
 		t := p.rec.StartPhase()
 		defer p.rec.EndPhase("band_write", "", t)
-		pix, strips := p.pix[:rows*W], p.eng.Strips()
-		if err := f.begin(uint64(r0)*uint64(W), pix, comps); err != nil {
+		pix := s.pix[:s.rows*W]
+		if err := f.begin(uint64(s.r0)*uint64(W), pix, s.comps); err != nil {
 			return err
 		}
-		f.seam(pix, strips, p.conn, p.mode, &p.stop)
+		f.seam(pix, s.first, p.conn, p.mode, &p.stop)
 		if err := p.interrupted(); err != nil {
 			return err
 		}
-		f.commit(strips, false)
-		return writeBand(lw, strips, W, root)
+		f.commit(s.last, false)
+		return writeBand(lw, s.eng.Strips(), W, root)
 	})
 	if err != nil {
 		return err
@@ -515,23 +675,14 @@ func writeBand(lw *image.LabelPGMWriter, strips []seq.BandLabeler, cols int,
 
 // bandCommitted runs after band (0-based index) has fully committed its
 // census state — merge done, runs folded in, closed components counted,
-// slot row rebuilt. It first polls the band_commit fault site (rank 0, round =
-// band+1): Delay sleeps in place, Crash abandons the run exactly as a
-// process death here would, and Panic raises the injected payload. Then,
-// when checkpointing is on, it rewrites the checkpoint record on the
+// slot row rebuilt. It first polls the band_commit fault site (rank 0,
+// round = band+1), where an injected panic unwinds to Label's caller.
+// Then, when checkpointing is on, it rewrites the checkpoint record on the
 // cadence — and always after the last band, so a crash during the write
 // pass resumes without redoing any census work.
 func (p *pipeline) bandCommitted(band int, last bool) error {
-	site := fault.Site{Name: "band_commit", Rank: 0, Round: band + 1}
-	switch act := p.fault.Decide(site); act.Class {
-	case fault.None:
-	case fault.Delay:
-		time.Sleep(act.Delay)
-	case fault.Panic:
-		panic(&fault.Injected{Site: site})
-	default: // Crash (and NoShow, degraded): abandon the run right here.
-		return errs.Aborted(op, &fault.Injected{Site: site},
-			"injected crash after band %d committed", band)
+	if err := p.injectFault(fault.Site{Name: "band_commit", Rank: 0, Round: band + 1}, "committed"); err != nil {
+		return err
 	}
 	if p.ckptPath == "" || ((band+1)%p.ckptEvery != 0 && !last) {
 		return nil

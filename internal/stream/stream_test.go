@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"parimg/internal/errs"
 	"parimg/internal/fault/leakcheck"
@@ -329,46 +330,64 @@ func TestStreamRejectsUnknownMode(t *testing.T) {
 }
 
 // TestStreamMetrics checks the observability wiring: the pipeline's
-// phases and the band engine's, each recorded exactly once whatever the
+// phases and the band engines', each recorded exactly once whatever the
 // band count, the bands counter, and a document that passes the schema
-// validator. 16-row bands split into two strips once GOMAXPROCS >= 2, so
-// the engine's seam phases appear then.
+// validator. It runs twice. 4-row bands are one strip each and label as
+// bands in flight, up to one per core, so the engines never run a seam.
+// One band covering the image is the only band in flight, so at
+// GOMAXPROCS >= 2 its engine splits it into strips, and the engine's seam
+// phases appear too.
 func TestStreamMetrics(t *testing.T) {
 	im := image.Generate(image.FourSquares, 64)
 	pgm := encodePGM(im.Pix, im.N, im.N, 255)
-	rec := obs.NewRecorder()
-	res, _ := streamLabel(t, pgm, Options{BandRows: 16, Obs: rec})
-	m := rec.Snapshot()
-	m.Schema = obs.Schema
-	if err := m.Validate(); err != nil {
-		t.Fatalf("metrics do not validate: %v", err)
-	}
-	// Both passes stream all bands: census + label = 2x.
-	if got := rec.Counter(obs.CtrBands); got != int64(2*res.Bands) {
-		t.Errorf("bands counter = %d, want %d", got, 2*res.Bands)
-	}
-	want := []string{"band_decode", "strip_label", "band_merge", "census_fold", "band_write"}
-	if runtime.GOMAXPROCS(0) >= 2 {
-		want = append(want, "border_merge", "relabel")
-	}
-	for _, phase := range want {
-		n := 0
-		for _, ph := range m.Phases {
-			if ph.Name == phase {
-				n++
+	pipeline := []string{"band_decode", "strip_label", "band_merge", "band_wait", "census_fold", "band_write"}
+	for _, c := range []struct {
+		bandRows int
+		strips   bool // the engine splits bands into strips
+	}{
+		{4, false},
+		{im.N, runtime.GOMAXPROCS(0) >= 2},
+	} {
+		rec := obs.NewRecorder()
+		res, _ := streamLabel(t, pgm, Options{BandRows: c.bandRows, Obs: rec})
+		m := rec.Snapshot()
+		m.Schema = obs.Schema
+		if err := m.Validate(); err != nil {
+			t.Fatalf("band%d: metrics do not validate: %v", c.bandRows, err)
+		}
+		// Both passes stream all bands: census + label = 2x.
+		if got := rec.Counter(obs.CtrBands); got != int64(2*res.Bands) {
+			t.Errorf("band%d: bands counter = %d, want %d", c.bandRows, got, 2*res.Bands)
+		}
+		count := func(phase string) int {
+			n := 0
+			for _, ph := range m.Phases {
+				if ph.Name == phase {
+					n++
+				}
+			}
+			return n
+		}
+		for _, phase := range pipeline {
+			if n := count(phase); n != 1 {
+				t.Errorf("band%d: phase %q recorded %d times, want once over %d bands", c.bandRows, phase, n, res.Bands)
 			}
 		}
-		if n != 1 {
-			t.Errorf("phase %q recorded %d times, want once over %d bands", phase, n, res.Bands)
+		want := 0
+		if c.strips {
+			want = 1
 		}
-	}
-	for _, ph := range m.Phases {
-		if ph.Name == "band_label" {
-			t.Errorf("the retired band_label phase is still recorded")
+		for _, phase := range []string{"border_merge", "relabel"} {
+			if n := count(phase); n != want {
+				t.Errorf("band%d: phase %q recorded %d times, want %d", c.bandRows, phase, n, want)
+			}
 		}
-	}
-	if rec.Counter(obs.CtrStripComponents) == 0 || rec.Counter(obs.CtrRuns) == 0 {
-		t.Errorf("strip components / runs counters not recorded")
+		if count("band_label") != 0 {
+			t.Errorf("band%d: the retired band_label phase is still recorded", c.bandRows)
+		}
+		if rec.Counter(obs.CtrStripComponents) == 0 || rec.Counter(obs.CtrRuns) == 0 {
+			t.Errorf("band%d: strip components / runs counters not recorded", c.bandRows)
+		}
 	}
 }
 
@@ -409,6 +428,62 @@ func TestStreamCancellation(t *testing.T) {
 	_, err := Label(r, io.Discard, Options{Context: ctx, BandRows: 8})
 	if !errors.Is(err, errs.ErrCanceled) {
 		t.Fatalf("mid-run cancellation error = %v, want ErrCanceled", err)
+	}
+}
+
+// heldReader serves r, but holds the read of band held for 200 ms, and
+// makes the read of band after wait until the held read has started, for
+// at most 100 ms: with one band in flight it never starts first. It
+// counts the reads in flight.
+type heldReader struct {
+	r           io.ReaderAt
+	data, band  int64 // the offset of band 0 and the bytes of a band
+	held, after int64
+	started     chan struct{}
+	inflight    atomic.Int32
+}
+
+func (h *heldReader) ReadAt(p []byte, off int64) (int, error) {
+	h.inflight.Add(1)
+	defer h.inflight.Add(-1)
+	if int64(len(p)) == h.band && off >= h.data {
+		switch (off - h.data) / h.band {
+		case h.held:
+			close(h.started)
+			time.Sleep(200 * time.Millisecond)
+		case h.after:
+			select {
+			case <-h.started:
+			case <-time.After(100 * time.Millisecond):
+			}
+		}
+	}
+	return h.r.ReadAt(p, off)
+}
+
+// TestLabelWaitsForBandWorkers: Label returns only after every band
+// worker has exited. The commit crashes at band 2 while the worker of
+// band 3, labeling ahead, is still inside its read, so a Label that
+// returned at once would leave that read in flight. At -cpu 1 one band is
+// in flight and band 3 is never read; the test then checks only that the
+// crash comes back typed with no read in flight.
+func TestLabelWaitsForBandWorkers(t *testing.T) {
+	leakcheck.Check(t)
+	const n, bandRows = 64, 8
+	im := image.Generate(image.DualSpiral, n)
+	pgm := encodePGM(im.Pix, n, n, 255)
+	hdr, err := image.ReadPGMHeader(bytes.NewReader(pgm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &heldReader{r: bytes.NewReader(pgm), data: hdr.DataOffset, band: bandRows * n,
+		held: 3, after: 2, started: make(chan struct{})}
+	_, err = Label(r, nil, Options{BandRows: bandRows, Fault: crashAt(2)})
+	if in := r.inflight.Load(); in != 0 {
+		t.Fatalf("Label returned with %d read(s) of a band worker in flight", in)
+	}
+	if !errors.Is(err, errs.ErrAborted) {
+		t.Fatalf("crashed run error = %v, want ErrAborted", err)
 	}
 }
 

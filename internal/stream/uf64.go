@@ -1,21 +1,22 @@
 // Package stream labels the connected components of images too large to
 // hold in memory: an out-of-core pipeline that reads horizontal band
-// windows of an on-disk PGM through image.PGMHeader, labels each band on
-// the host-parallel band engine (par.Engine.LabelBand, which splits a band
-// into strips across its workers, so a band uses every core), and merges
-// each band into a frontier of the components still open at the previous
-// band's bottom row through the same slab-merge seam the engine uses for
-// its strip boundaries. A band's labeling is the engine's run tables: the
+// windows of an on-disk PGM through image.PGMHeader, labels several bands
+// at once, each on its own host-parallel band engine
+// (par.Engine.LabelBand, which splits a band into strips across its
+// workers), and commits the bands strictly in band order: it merges each
+// into a frontier of the components still open at the previous band's
+// bottom row through the same slab-merge seam the engine uses for its
+// strip boundaries. A band's labeling is the engine's run tables: the
 // census folds its runs into their components and the write pass renders
 // them as spans, so no band is ever painted but its first and last label
-// rows, one at a time, for the seam and the frontier. A component that no
-// longer reaches the bottom row closes and is counted, so the merge state
-// stays O(cols + TopK), plus one pair per merge of two open components
-// when a write pass or a checkpoint reads them. Labels live in a 64-bit
-// global space — the pixel's global row-major index plus one — so the
-// total pixel count may exceed 2^32 and the resident MaxSide ceiling does
-// not apply; memory stays one band of pixels and its run tables, plus the
-// frontier.
+// rows, for the seam and the frontier. A component that no longer reaches
+// the bottom row closes and is counted, so the merge state stays
+// O(cols + TopK), plus one pair per merge of two open components when a
+// write pass or a checkpoint reads them. Labels live in a 64-bit global
+// space — the pixel's global row-major index plus one — so the total
+// pixel count may exceed 2^32 and the resident MaxSide ceiling does not
+// apply; memory stays the bands in flight, no more pixels than the band
+// budget or one band, with their run tables, plus the frontier.
 package stream
 
 import "parimg/internal/par"

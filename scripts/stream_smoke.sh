@@ -9,17 +9,25 @@
 #      count, writing the dense-renumbered label PGM and a metrics doc,
 #   3. validate the metrics document through the schema checker
 #      (cmd/metricscheck) and check the streaming band phases are there,
+#      band_wait (the ordered commit's wait for the next labeled band)
+#      among them,
 #   4. re-stream the 16-bit label PGM in grey mode — every dense label is
 #      one flat component, so the count must come back unchanged — which
 #      exercises the 2-byte big-endian streaming decode path end to end,
-#   5. label the DARPA scene (grey, 64-row bands) and the striped image at
-#      GOMAXPROCS=1 and at GOMAXPROCS=4 and byte-compare each pair of
-#      label PGMs: at one proc every band is one strip, at four procs
-#      every band is four strips, and the labels must not depend on that,
+#   5. label the DARPA scene (grey) and the striped image under three
+#      schedules and byte-compare their label PGMs: GOMAXPROCS=1, where
+#      one band is in flight and it is one strip; GOMAXPROCS=4, where
+#      the thin bands (64 rows of DARPA, 4096 of the stripes) label four
+#      at a time, one strip each; and, for DARPA, GOMAXPROCS=4 with one
+#      512-row band covering the image, which the band engine splits
+#      into four strips (its metrics must show border_merge). The label
+#      PGM does not depend on the band height, so all three must match,
 #   6. run the census-only pass (no -out: the pass that folds each band's
 #      runs into the frontier) of both images at GOMAXPROCS=1 and 4 with
 #      -top 16 -census-json, and byte-compare each pair of census JSONs:
-#      the component sizes must not depend on the strip split either.
+#      the component sizes must not depend on the schedule either. The
+#      census JSON carries the band count and height, so both runs of a
+#      pair use the same band height.
 #
 # Needs: go. Exits non-zero on the first failure.
 set -euo pipefail
@@ -53,7 +61,7 @@ grep -q '4480 connected components' "$WORKDIR/label.out" || {
 
 echo "stream-smoke: validating the metrics document"
 "$WORKDIR/metricscheck" "$WORKDIR/metrics.json"
-for phase in band_decode strip_label band_merge census_fold band_write; do
+for phase in band_decode strip_label band_merge band_wait census_fold band_write; do
     grep -q "\"$phase\"" "$WORKDIR/metrics.json" || {
         echo "stream-smoke: metrics document is missing phase $phase" >&2
         exit 1
@@ -72,21 +80,28 @@ grep -q '4480 connected components' "$WORKDIR/relabel.out" || {
     exit 1
 }
 
-echo "stream-smoke: labels must not depend on the strip split (GOMAXPROCS 1 against 4)"
+echo "stream-smoke: labels must not depend on the schedule (one band, bands in flight, strips)"
 for procs in 1 4; do
     GOMAXPROCS=$procs "$WORKDIR/imgcc" -stream -in darpa_before.pgm -grey -band-rows 64 \
         -top 0 -out "$WORKDIR/darpa.$procs.pgm" > /dev/null
     GOMAXPROCS=$procs "$WORKDIR/imgcc" -stream -in "$WORKDIR/tall.pgm" -band-rows 4096 \
         -top 0 -out "$WORKDIR/tall.$procs.pgm" > /dev/null
 done
-for img in darpa tall; do
-    cmp "$WORKDIR/$img.1.pgm" "$WORKDIR/$img.4.pgm" || {
-        echo "stream-smoke: $img label PGM differs between GOMAXPROCS 1 and 4" >&2
+GOMAXPROCS=4 "$WORKDIR/imgcc" -stream -in darpa_before.pgm -grey -band-rows 512 \
+    -top 0 -metrics "$WORKDIR/strips.json" -out "$WORKDIR/darpa.strips.pgm" > /dev/null
+grep -q '"border_merge"' "$WORKDIR/strips.json" || {
+    echo "stream-smoke: the one-band DARPA run did not split into strips" >&2
+    exit 1
+}
+for pair in darpa.1:darpa.4 darpa.1:darpa.strips tall.1:tall.4; do
+    a=${pair%%:*} b=${pair##*:}
+    cmp "$WORKDIR/$a.pgm" "$WORKDIR/$b.pgm" || {
+        echo "stream-smoke: label PGM $b differs from $a" >&2
         exit 1
     }
 done
 
-echo "stream-smoke: the census must not depend on the strip split (GOMAXPROCS 1 against 4)"
+echo "stream-smoke: the census must not depend on the schedule (GOMAXPROCS 1 against 4)"
 for procs in 1 4; do
     GOMAXPROCS=$procs "$WORKDIR/imgcc" -stream -in darpa_before.pgm -grey -band-rows 64 \
         -top 16 -census-json "$WORKDIR/darpa.$procs.json" > /dev/null
